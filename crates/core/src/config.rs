@@ -68,16 +68,13 @@ pub struct FtConfig {
     /// Maximum number of per-page `p0.v[writer]` integers piggybacked on a
     /// single home→writer message (the lazy CGC/LLT propagation).
     pub piggy_page_batch: usize,
-    /// Incremental checkpoints: each checkpoint saves only the homed pages
-    /// written since the previous one (a *delta*), with a periodic *full
-    /// anchor* bounding the recovery replay chain. The non-page state
-    /// (timestamp, counters, app state) is saved in full in every blob, so
-    /// only page payloads shrink. Off by default: every checkpoint is full.
-    pub incremental: bool,
-    /// With `incremental`, take a full anchor checkpoint every this many
-    /// checkpoints (the maximum chain length recovery must replay,
-    /// including the anchor). Values `<= 1` make every checkpoint an
-    /// anchor, i.e. behave like `incremental: false`.
+    /// Take a full *anchor* checkpoint every this many checkpoints; the
+    /// ones in between are incremental *deltas* that save only the homed
+    /// pages written since the previous checkpoint. This is the maximum
+    /// chain length recovery must replay, including the anchor. The
+    /// non-page state (timestamp, counters, app state) is saved in full in
+    /// every blob, so only page payloads shrink. Values `<= 1` (the
+    /// default) make every checkpoint full.
     pub anchor_every: u64,
 }
 
@@ -86,8 +83,7 @@ impl Default for FtConfig {
         FtConfig {
             policy: CkptPolicy::LogOverflow { l: 0.1 },
             piggy_page_batch: 32,
-            incremental: false,
-            anchor_every: 8,
+            anchor_every: 1,
         }
     }
 }
@@ -240,7 +236,6 @@ impl ClusterConfig {
     /// `anchor_every` checkpoints (enables FT if it was off).
     pub fn with_incremental_ckpt(mut self, anchor_every: u64) -> Self {
         let ft = self.ft.get_or_insert_with(FtConfig::default);
-        ft.incremental = true;
         ft.anchor_every = anchor_every;
         self
     }
@@ -342,9 +337,8 @@ mod tests {
     fn incremental_builder_enables_ft_and_sets_anchor_cadence() {
         let c = ClusterConfig::base(2).with_incremental_ckpt(4);
         let ft = c.ft.expect("builder enables FT");
-        assert!(ft.incremental);
         assert_eq!(ft.anchor_every, 4);
         // Default stays full-checkpoint mode.
-        assert!(!FtConfig::default().incremental);
+        assert!(FtConfig::default().anchor_every <= 1);
     }
 }

@@ -218,20 +218,15 @@ pub(crate) fn take_checkpoint(
     let t_log = Instant::now();
 
     // --- full anchor or delta? ---------------------------------------------
-    let (incremental, anchor_every, seq, last_anchor) = {
+    let (anchor_every, seq, last_anchor) = {
         let ft = st.ft.as_ref().expect("checkpoint without FT enabled");
-        (
-            ft.cfg.incremental,
-            ft.cfg.anchor_every,
-            ft.ckpt_seq + 1,
-            ft.last_anchor_seq,
-        )
+        (ft.cfg.anchor_every, ft.ckpt_seq + 1, ft.last_anchor_seq)
     };
+    let incremental = anchor_every > 1;
     // A delta needs an anchor to chain onto and a chain still shorter than
     // `anchor_every` (chain length counts the anchor, so `anchor_every: 8`
     // writes one full blob per seven deltas).
-    let is_delta =
-        incremental && last_anchor > 0 && anchor_every > 1 && seq - last_anchor < anchor_every;
+    let is_delta = incremental && last_anchor > 0 && seq - last_anchor < anchor_every;
 
     // --- assemble the blob -------------------------------------------------
     // Incremental mode drains the checkpoint-dirty set at *every*

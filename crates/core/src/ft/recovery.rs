@@ -67,6 +67,12 @@ pub(crate) struct ReplayState {
     /// recognize a *final* self-granted acquire (which leaves no mirrored
     /// grant record and no later logged event of our own).
     pub evidence_self: u32,
+    /// Every acquisition of ours numbered below this one completed before
+    /// the crash: a peer's lock manager saw us request it. Needed to
+    /// recognize a run of self-granted acquires at the end of the log,
+    /// which leave no grant record and, when they write nothing, no
+    /// interval of ours at any peer either.
+    pub acq_floor: u64,
 }
 
 /// Sort key: a linear extension of the happens-before partial order on
@@ -325,10 +331,12 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
                         bar_mgr,
                         lock_chains,
                         gen_floor,
+                        acq_seen,
                     } = payload
                     else {
                         unreachable!()
                     };
+                    replay.acq_floor = replay.acq_floor.max(acq_seen);
                     for e in wn {
                         st.wn_table.insert_parts(
                             dsm_page::Interval {

@@ -212,6 +212,11 @@ pub enum Payload {
         /// edges it just discarded. Bounds the recovered manager's next
         /// generation so fresh edges outrank every pre-crash one.
         gen_floor: Vec<(LockId, u64)>,
+        /// The newest acquisition sequence number of the recovering node
+        /// that the peer's lock manager has seen requested (0 if none).
+        /// Every acquisition numbered below it completed before the crash,
+        /// which is the only trace a self-granted tenure leaves at a peer.
+        acq_seen: u64,
     },
     /// Maximal-starting-copy request: recovering node → home.
     RecPageReq {
@@ -283,6 +288,7 @@ impl Payload {
                 bar_mgr,
                 lock_chains,
                 gen_floor,
+                ..
             } => {
                 1 + wn.iter().map(|e| e.wire_size()).sum::<usize>()
                     + rel_for_you.iter().map(|e| e.wire_size()).sum::<usize>()
@@ -297,6 +303,7 @@ impl Payload {
                         .sum::<usize>()
                     + 33 * lock_chains.len()
                     + 16 * gen_floor.len()
+                    + 8
             }
             Payload::RecPageReq { tckp, .. } => 5 + tckp.wire_size(),
             Payload::RecPageReply { version, bytes, .. } => 5 + version.wire_size() + bytes.len(),

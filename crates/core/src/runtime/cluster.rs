@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dsm_member::{Detector, MemberConfig};
+use dsm_member::{Detector, MemberConfig, PeerState};
 use dsm_metrics::Registry;
 use dsm_net::Fabric;
 use dsm_page::VectorClock;
@@ -26,6 +26,31 @@ use crate::runtime::node::{
 };
 use crate::runtime::process::Process;
 use crate::stats::{NodeReport, RunReport};
+
+/// Keep a crashed node `victim` down until some peer's failure detector has
+/// confirmed it Down, so the failure is observed from its silence alone.
+/// Panics with every peer's view if that takes far longer than the
+/// detection bound: a peer's detector or ticker is stuck.
+fn wait_until_seen_down(members: &[Arc<MemberRuntime>], victim: usize, cfg: &MemberConfig) {
+    let limit = (cfg.detection_bound() * 100).max(Duration::from_secs(10));
+    let t0 = Instant::now();
+    loop {
+        let views: Vec<(usize, PeerState)> = (0..members.len())
+            .filter(|&p| p != victim)
+            .map(|p| (p, members[p].det.lock().peer_state(victim)))
+            .collect();
+        if views.iter().any(|&(_, s)| s == PeerState::Down) {
+            return;
+        }
+        assert!(
+            t0.elapsed() < limit,
+            "node {victim} crashed, but no peer confirmed it down within {limit:?} \
+             (detection bound {:?}); (peer, view of node {victim}): {views:?}",
+            cfg.detection_bound()
+        );
+        std::thread::sleep(cfg.heartbeat_every);
+    }
+}
 
 /// Keep injected fail-stop crashes (which are implemented as panics with a
 /// [`CrashSignal`] payload) out of stderr; real panics still print, followed
@@ -216,7 +241,6 @@ where
                 .clone()
                 .map(|cfg| FtState::new(i, n, cfg, Arc::clone(&store))),
             replay: None,
-            protocol_time_svc: Duration::ZERO,
             svc_time_by_kind: HashMap::new(),
             shutdown: false,
             ops: 0,
@@ -346,6 +370,14 @@ where
             .expect("spawn metrics sampler")
     });
 
+    // Every node's membership runtime (empty with membership off), for a
+    // crashed node to wait on its peers' detectors.
+    let members: Arc<Vec<Arc<MemberRuntime>>> = Arc::new(
+        shareds
+            .iter()
+            .filter_map(|s| s.state.lock().member.clone())
+            .collect(),
+    );
     let app = Arc::new(app);
     let active_recoveries = Arc::new(AtomicUsize::new(0));
     let t0 = Instant::now();
@@ -356,6 +388,7 @@ where
             let fabric = fabric.clone();
             let active = Arc::clone(&active_recoveries);
             let membership = membership.clone();
+            let members = Arc::clone(&members);
             std::thread::Builder::new()
                 .name(format!("dsm-app-{i}"))
                 .spawn(move || {
@@ -397,9 +430,9 @@ where
                                         *s = None;
                                     }
                                     st.own_diff_seq.clear();
-                                    // Fence the lock-free fast path: after
+                                    // Fence the home/sync handlers: after
                                     // the mode flag flips, drain the sync
-                                    // and shard locks so no fast-path op
+                                    // and shard locks so no handler op
                                     // started before the flip is still in
                                     // flight, then drop parked fetches
                                     // (requesters retransmit on NodeUp).
@@ -415,14 +448,13 @@ where
                                 }
                                 // Stay dead long enough for the failure to
                                 // be observable. With membership on, that
-                                // means longer than the detection bound, so
-                                // peers must notice the silence themselves —
+                                // means until a peer has confirmed us down:
+                                // peers must notice the silence themselves,
                                 // no orchestrated hint ever reaches them.
-                                let dead_for = match &membership {
-                                    Some(cfg) => cfg.detection_bound() + cfg.heartbeat_every * 4,
-                                    None => Duration::from_millis(10),
-                                };
-                                std::thread::sleep(dead_for);
+                                match &membership {
+                                    Some(cfg) => wait_until_seen_down(&members, i, cfg),
+                                    None => std::thread::sleep(Duration::from_millis(10)),
+                                }
                                 {
                                     let mut st = shared.state.lock();
                                     // New incarnation before the ticker sees
@@ -508,9 +540,9 @@ where
         }
     }
 
-    // Stop the service threads before collecting reports: the fast path
-    // folds its accumulated per-kind timing and histograms into the node
-    // state only at loop exit.
+    // Stop the service threads before collecting reports: the service loop
+    // folds its per-kind timing and histograms into the node state only at
+    // exit.
     for s in shareds.iter() {
         let mut st = s.state.lock();
         st.shutdown = true;
@@ -606,7 +638,7 @@ where
             None => Default::default(),
         };
         let mut breakdown = st.breakdown_acc;
-        breakdown.protocol += st.protocol_time_svc;
+        breakdown.protocol += st.svc_time_by_kind.values().sum::<Duration>();
         let ft = match st.ft.as_mut() {
             Some(ft) => {
                 ft.report.log_counters = ft.logs.counters();

@@ -4,6 +4,7 @@
 pub mod cluster;
 pub(crate) mod node;
 pub mod process;
+pub(crate) mod serve;
 
 pub use cluster::run;
 pub use process::{AppState, Process, SharedVec};

@@ -9,12 +9,14 @@
 //!
 //! The big state lock is *not* the only lock (see DESIGN.md "Hot path").
 //! Home-page state lives in the sharded [`hlrc::HomeStore`] and
-//! lock/barrier-manager state in the small [`SyncState`] lock, so the
-//! service loop serves `PageReq`/`PageBatchReq`/`DiffBatch`/`LockAcq`
-//! traffic on a fast path that never touches the big lock while the
-//! application computes under it. The big lock keeps the rarely-contended
-//! rest: mode, waits, FT logs, recovery state. Lock order is big → sync →
-//! shard; shard locks are leaves.
+//! lock/barrier-manager state in the small [`SyncState`] lock. Each message
+//! kind has one handler. `PageReq`/`PageBatchReq`/`DiffBatch`/`LockAcq` are
+//! served by the handlers in [`super::serve`], which borrow only those two
+//! and the mode flag, so the service loop answers them while the
+//! application computes under the big lock; every other kind is handled by
+//! [`handle_msg`] under it. The big lock keeps the rarely-contended rest:
+//! mode, waits, FT logs, recovery state. Lock order is big → sync → shard;
+//! shard locks are leaves.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -27,16 +29,14 @@ use dsm_page::{Diff, IntervalSeq, PageId, ProcId, VectorClock};
 use dsm_trace::{EventKind, Histogram, LatencyHists, NodeTracer};
 use hlrc::barrier::{Arrival, ArriveOutcome, BarrierManager};
 use hlrc::locks::{AcqReq, LockAction, LockManagerTable};
-use hlrc::{
-    ApplyOutcome, FetchOutcome, HomeStore, LockId, PageState, PageTable, WaitingFetch, WnDelta,
-    WnTable, WriteNotice,
-};
+use hlrc::{LockId, PageState, PageTable, WnDelta, WnTable, WriteNotice};
 use parking_lot::{Condvar, Mutex};
 
 use crate::ft::logs::{MgrBarEntry, RelEntry};
 use crate::ft::recovery::ReplayState;
 use crate::ft::FtState;
 use crate::msg::{Msg, Payload, Piggy};
+use crate::runtime::serve::{emit_diff_apply, lock_forward, page_reply, HomeCtx};
 
 /// Panic payload used to simulate a fail-stop crash of the application
 /// thread at a DSM operation boundary.
@@ -67,9 +67,9 @@ pub(crate) const MODE_NORMAL: u8 = 0;
 
 /// Lock-manager and barrier-manager state, behind its own small lock.
 ///
-/// Fast-path `LockAcq` routing (manager forwards to the chain tail) only
-/// needs this state, so the service thread can route forwards while the
-/// application holds the big lock. The application thread takes this lock
+/// `LockAcq` routing (manager forwards to the chain tail) only needs this
+/// state, so the service thread can route forwards while the application
+/// holds the big lock. The application thread takes this lock
 /// *after* the big lock (big → sync); neither is ever taken while a
 /// home-store shard lock is held.
 pub(crate) struct SyncState {
@@ -167,7 +167,7 @@ pub(crate) struct NodeState {
     pub n: usize,
     pub page_size: usize,
     pub mode: Mode,
-    /// Lock-free mirror of `mode` for the service loop's fast path. Only
+    /// Lock-free mirror of `mode` for the home/sync handlers. Only
     /// [`NodeState::set_mode`] writes it (always under the big lock).
     pub mode_flag: Arc<AtomicU8>,
     pub pt: PageTable,
@@ -218,10 +218,9 @@ pub(crate) struct NodeState {
     pub alloc_cursor: u32,
     pub ft: Option<FtState>,
     pub replay: Option<ReplayState>,
-    /// Service-thread protocol handler time (all message kinds).
-    pub protocol_time_svc: Duration,
-    /// Service-thread handler time attributed per message kind (fast-path
-    /// time is folded in when the service loop exits).
+    /// Service-thread handler time per message kind, all kinds; their sum
+    /// is the service thread's protocol time. Accumulated in the service
+    /// loop and folded in when it exits.
     pub svc_time_by_kind: HashMap<&'static str, Duration>,
     pub shutdown: bool,
     /// DSM operations executed (crash-injection clock).
@@ -287,7 +286,7 @@ pub(crate) struct NodeShared {
 }
 
 impl NodeState {
-    /// Change the node's mode, keeping the fast path's atomic mirror in
+    /// Change the node's mode, keeping the handlers' atomic mirror in
     /// step. Every transition happens under the big lock; the store-then-
     /// quiesce fencing on the crash path is what makes the mirror safe to
     /// read without it (see DESIGN.md).
@@ -553,26 +552,80 @@ pub(crate) fn retransmit_stale_diffs(st: &mut NodeState) {
         return;
     };
     for home in 0..st.n {
-        let Some((seq, sent)) = st.diff_inflight[home] else {
-            continue;
-        };
-        if sent.elapsed() < after {
-            continue;
+        if st.diff_inflight[home].is_some_and(|(_, sent)| sent.elapsed() >= after) {
+            resend_inflight_diff(st, home);
         }
-        let batch = st.diff_outbox[home]
-            .front()
-            .expect("in-flight batch without an outbox head")
-            .1
-            .clone();
-        st.diff_inflight[home] = Some((seq, Instant::now()));
-        st.retransmits += 1;
-        if st.tracer.enabled() {
-            st.tracer.emit(EventKind::Retransmit {
-                kind: "DiffBatch",
-                to: home,
-            });
-        }
-        st.send(home, Payload::DiffBatch { seq, diffs: batch });
+    }
+}
+
+/// Retransmit `home`'s in-flight diff batch, if any, restarting its timer.
+fn resend_inflight_diff(st: &mut NodeState, home: ProcId) {
+    let Some((seq, _)) = st.diff_inflight[home] else {
+        return;
+    };
+    let batch = st.diff_outbox[home]
+        .front()
+        .expect("in-flight batch without an outbox head")
+        .1
+        .clone();
+    st.diff_inflight[home] = Some((seq, Instant::now()));
+    st.retransmits += 1;
+    if st.tracer.enabled() {
+        st.tracer.emit(EventKind::Retransmit {
+            kind: "DiffBatch",
+            to: home,
+        });
+    }
+    st.send(home, Payload::DiffBatch { seq, diffs: batch });
+}
+
+/// The request the application thread is blocked on at a peer, if any:
+/// `(peer, request)`.
+fn peer_request(st: &NodeState) -> Option<(ProcId, Payload)> {
+    let me = st.me;
+    match &st.wait {
+        WaitSlot::Page {
+            page,
+            req_id,
+            home,
+            needed,
+            reply: None,
+        } if *home != me => Some((
+            *home,
+            Payload::PageReq {
+                page: *page,
+                needed: needed.clone(),
+                req_id: *req_id,
+            },
+        )),
+        WaitSlot::Lock {
+            lock,
+            acq_seq,
+            manager,
+            req_vt,
+            grant: None,
+        } if *manager != me => Some((
+            *manager,
+            Payload::LockAcq {
+                lock: *lock,
+                acq_seq: *acq_seq,
+                vt: req_vt.clone(),
+            },
+        )),
+        WaitSlot::Barrier {
+            episode,
+            arrive_vt,
+            own_wns,
+            release: None,
+        } if me != 0 => Some((
+            0,
+            Payload::BarrierArrive {
+                episode: *episode,
+                vt: arrive_vt.clone(),
+                own_wns: own_wns.clone(),
+            },
+        )),
+        _ => None,
     }
 }
 
@@ -583,87 +636,45 @@ pub(crate) fn retransmit_stale_diffs(st: &mut NodeState) {
 /// replay from the release log, and installs are version-gated.
 pub(crate) fn retransmit_wait_slot(st: &mut NodeState) -> u64 {
     let me = st.me;
-    let (to, payload, kind) = match &st.wait {
-        WaitSlot::Page {
-            page,
-            req_id,
-            home,
-            needed,
-            reply: None,
-        } if *home != me => (
-            *home,
-            Payload::PageReq {
-                page: *page,
-                needed: needed.clone(),
-                req_id: *req_id,
-            },
-            "PageReq",
-        ),
-        WaitSlot::Lock {
-            lock,
-            acq_seq,
-            manager,
-            req_vt,
-            grant: None,
-        } if *manager != me => (
-            *manager,
-            Payload::LockAcq {
-                lock: *lock,
-                acq_seq: *acq_seq,
-                vt: req_vt.clone(),
-            },
-            "LockAcq",
-        ),
-        WaitSlot::Lock {
+    let Some((to, payload)) = peer_request(st) else {
+        let WaitSlot::Lock {
             lock,
             acq_seq,
             req_vt,
             grant: None,
             ..
-        } => {
-            // We are the manager: re-run the request through the manager
-            // table, which dedups by `acq_seq` and re-forwards the identical
-            // chain action (the grant then replays from the granter's log).
-            let (lock, acq_seq, vt) = (*lock, *acq_seq, req_vt.clone());
-            st.retransmits += 1;
-            if st.tracer.enabled() {
-                st.tracer.emit(EventKind::Retransmit {
-                    kind: "LockAcq",
-                    to: me,
-                });
-            }
-            let action = st.sync.lock().lock_mgr.on_request(
-                lock,
-                AcqReq {
-                    requester: me,
-                    acq_seq,
-                    vt,
-                },
-            );
-            if let Some(a) = action {
-                dispatch_lock_action(st, a);
-            }
-            return 1;
+        } = &st.wait
+        else {
+            return 0;
+        };
+        // We are the manager: re-run the request through the manager
+        // table, which dedups by `acq_seq` and re-forwards the identical
+        // chain action (the grant then replays from the granter's log).
+        let req = AcqReq {
+            requester: me,
+            acq_seq: *acq_seq,
+            vt: req_vt.clone(),
+        };
+        let lock = *lock;
+        st.retransmits += 1;
+        if st.tracer.enabled() {
+            st.tracer.emit(EventKind::Retransmit {
+                kind: "LockAcq",
+                to: me,
+            });
         }
-        WaitSlot::Barrier {
-            episode,
-            arrive_vt,
-            own_wns,
-            release: None,
-        } if me != 0 => (
-            0,
-            Payload::BarrierArrive {
-                episode: *episode,
-                vt: arrive_vt.clone(),
-                own_wns: own_wns.clone(),
-            },
-            "BarrierArrive",
-        ),
-        _ => return 0,
+        let action = st.sync.lock().lock_mgr.on_request(lock, req);
+        if let Some(a) = action {
+            dispatch_lock_action(st, a);
+        }
+        return 1;
     };
     st.retransmits += 1;
     if st.tracer.enabled() {
-        st.tracer.emit(EventKind::Retransmit { kind, to });
+        st.tracer.emit(EventKind::Retransmit {
+            kind: payload.kind(),
+            to,
+        });
     }
     st.send(to, payload);
     1
@@ -712,16 +723,7 @@ pub(crate) fn apply_member_actions(
                 let mut st = shared.state.lock();
                 if st.mode == Mode::Normal {
                     handle_node_up(&mut st, node);
-                    if let Some((seq, _)) = st.diff_inflight[node] {
-                        let batch = st.diff_outbox[node]
-                            .front()
-                            .expect("in-flight batch without an outbox head")
-                            .1
-                            .clone();
-                        st.diff_inflight[node] = Some((seq, Instant::now()));
-                        st.retransmits += 1;
-                        st.send(node, Payload::DiffBatch { seq, diffs: batch });
-                    }
+                    resend_inflight_diff(&mut st, node);
                 }
                 drop(st);
                 shared.cv.notify_all();
@@ -730,25 +732,12 @@ pub(crate) fn apply_member_actions(
     }
 }
 
-/// Answer parked fetches that have become servable.
-fn send_ready_fetches(st: &mut NodeState, ready: Vec<hlrc::ReadyFetch>) {
-    for r in ready {
-        st.send(
-            r.from,
-            Payload::PageReply {
-                page: r.page,
-                req_id: r.req_id,
-                version: r.version,
-                bytes: r.bytes,
-            },
-        );
-    }
-}
-
 /// Drain every parked fetch the home store can now serve and answer it.
 pub(crate) fn serve_waiting_fetches(st: &mut NodeState) {
-    let ready = st.pt.home_store().drain_ready();
-    send_ready_fetches(st, ready);
+    for r in st.pt.home_store().drain_ready() {
+        let (to, reply) = page_reply(r);
+        st.send(to, reply);
+    }
 }
 
 /// Apply the pending homed-page diffs whose creators had seen at most
@@ -766,14 +755,8 @@ pub(crate) fn apply_pending_home(st: &mut NodeState) {
     let mut rest = Vec::with_capacity(replay.pending_home.len());
     for e in replay.pending_home.drain(..) {
         if e.t.get(st.me) <= bound {
-            let fresh = st.pt.home_apply_diff(&e.diff);
-            if fresh && st.tracer.enabled() {
-                st.tracer.emit(EventKind::DiffApply {
-                    page: e.diff.page.0,
-                    bytes: e.diff.payload_bytes() as u32,
-                    writer: e.diff.interval.proc,
-                    interval: e.diff.interval.seq as u64,
-                });
+            if st.pt.home_apply_diff(&e.diff) {
+                emit_diff_apply(&st.tracer, &e.diff);
             }
         } else {
             rest.push(e);
@@ -781,26 +764,6 @@ pub(crate) fn apply_pending_home(st: &mut NodeState) {
     }
     replay.pending_home = rest;
     serve_waiting_fetches(st);
-}
-
-/// Test-only (armed via `ClusterConfig::inject_stale_apply`): re-emit the
-/// `DiffApply` event for an already-applied diff, once, simulating a home
-/// that applied a stale duplicate. The invariant monitor must catch it.
-fn inject_stale_apply_if_armed(st: &mut NodeState, last: Option<&Diff>) {
-    let Some(flag) = &st.inject_stale_apply else {
-        return;
-    };
-    if !st.tracer.enabled() || !flag.swap(false, Ordering::Relaxed) {
-        return;
-    }
-    if let Some(d) = last {
-        st.tracer.emit(EventKind::DiffApply {
-            page: d.page.0,
-            bytes: d.payload_bytes() as u32,
-            writer: d.interval.proc,
-            interval: d.interval.seq as u64,
-        });
-    }
 }
 
 /// Produce a grant right now (the lock is free at this node).
@@ -918,10 +881,6 @@ pub(crate) fn handle_forward(
     // the tenure is still in flight — possibly our grant for it has not
     // even arrived yet, since the manager advances the tail at forward
     // time — and the requester queues until our release.
-    // A forward can reference our tenure before its own grant has reached
-    // us (the manager advances the tail at forward time): if we are
-    // currently blocked acquiring this very tenure, the requester queues
-    // until our release.
     let in_flight = matches!(
         &st.wait,
         WaitSlot::Lock { lock: l, acq_seq: s, .. } if *l == lock && *s == pred_acq
@@ -968,17 +927,8 @@ pub(crate) fn dispatch_lock_action(st: &mut NodeState, a: LockAction) {
             a.req.vt,
         );
     } else {
-        st.send(
-            a.grant_from,
-            Payload::LockForward {
-                lock: a.lock,
-                requester: a.req.requester,
-                acq_seq: a.req.acq_seq,
-                gen: a.gen,
-                pred_acq: a.pred_acq,
-                vt: a.req.vt,
-            },
-        );
+        let (to, fwd) = lock_forward(a);
+        st.send(to, fwd);
     }
 }
 
@@ -1008,46 +958,21 @@ pub(crate) fn barrier_manager_arrive(st: &mut NodeState, arrival: Arrival) {
                     result_vt: rel.vt.clone(),
                 });
             }
-            let me = st.me;
             for p in 0..st.n {
-                let data = ReleaseData {
-                    episode: rel.episode,
-                    vt: rel.vt.clone(),
-                    wns: rel.per_proc_wns[p].clone(),
-                };
-                if p == me {
-                    st.deposit_release(data);
-                } else {
-                    st.send(
-                        p,
-                        Payload::BarrierRelease {
-                            episode: data.episode,
-                            vt: data.vt,
-                            wns: data.wns,
-                        },
-                    );
-                }
+                deliver_release(st, p, &rel);
             }
         }
-        ArriveOutcome::Resend { proc, release } => {
-            let data = ReleaseData {
-                episode: release.episode,
-                vt: release.vt.clone(),
-                wns: release.per_proc_wns[proc].clone(),
-            };
-            if proc == st.me {
-                st.deposit_release(data);
-            } else {
-                st.send(
-                    proc,
-                    Payload::BarrierRelease {
-                        episode: data.episode,
-                        vt: data.vt,
-                        wns: data.wns,
-                    },
-                );
-            }
-        }
+        ArriveOutcome::Resend { proc, release } => deliver_release(st, proc, &release),
+    }
+}
+
+/// Hand participant `p` its share of a barrier release.
+fn deliver_release(st: &mut NodeState, p: ProcId, rel: &hlrc::ReleaseSet) {
+    let (episode, vt, wns) = (rel.episode, rel.vt.clone(), rel.per_proc_wns[p].clone());
+    if p == st.me {
+        st.deposit_release(ReleaseData { episode, vt, wns });
+    } else {
+        st.send(p, Payload::BarrierRelease { episode, vt, wns });
     }
 }
 
@@ -1115,6 +1040,7 @@ fn build_rec_log_reply(st: &mut NodeState, r: ProcId) -> Payload {
             .filter(|(&lock, _)| managed_by_r(lock))
             .map(|(&lock, &(gen, _, _))| (lock, gen))
             .collect(),
+        acq_seen: st.sync.lock().lock_mgr.newest_acq_of(r).unwrap_or(0),
     }
 }
 
@@ -1251,7 +1177,14 @@ pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
     }
 }
 
-/// Handle one protocol message in normal mode.
+/// Send a handler's replies bare, parented on flow `parent`.
+fn send_bare(ep: &Endpoint<Msg>, replies: Vec<(ProcId, Payload)>, parent: u64) {
+    for (to, payload) in replies {
+        ep.send(to, Msg::reply_to(payload, parent));
+    }
+}
+
+/// Handle one protocol message in normal mode, under the big lock.
 pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
     if let Some(p) = max_page(&payload) {
         if p.index() >= st.pt.len() {
@@ -1260,17 +1193,22 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
         }
     }
     match payload {
-        Payload::LockAcq { lock, acq_seq, vt } => {
-            debug_assert_eq!(lock % st.n, st.me, "lock request at wrong manager");
-            let action = st.sync.lock().lock_mgr.on_request(
-                lock,
-                AcqReq {
-                    requester: from,
-                    acq_seq,
-                    vt,
-                },
+        Payload::PageReq { .. }
+        | Payload::PageBatchReq { .. }
+        | Payload::DiffBatch { .. }
+        | Payload::LockAcq { .. } => {
+            let s = HomeCtx::of(st)
+                .serve(&mut st.hists, from, &payload)
+                .expect("home/sync kind");
+            // Every page is allocated and the mode is Normal: only a page
+            // homed elsewhere can defer here.
+            assert!(
+                !s.defer,
+                "{} from node {from} names a page not homed here",
+                payload.kind()
             );
-            if let Some(a) = action {
+            send_bare(&st.ep, s.replies, st.cur_flow);
+            if let Some(a) = s.grant_self {
                 dispatch_lock_action(st, a);
             }
         }
@@ -1299,41 +1237,6 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
                 vt,
                 wns,
             });
-        }
-        Payload::DiffBatch { seq, diffs } => {
-            let home = st.pt.home_store();
-            let mut ready = Vec::new();
-            for d in &diffs {
-                let t0 = Instant::now();
-                let fresh = match home.apply_diff(d, || true) {
-                    ApplyOutcome::Applied { fresh, ready: r } => {
-                        ready.extend(r);
-                        fresh
-                    }
-                    ApplyOutcome::NotHome => panic!("diff for page {} not homed here", d.page),
-                    ApplyOutcome::Stale => unreachable!("big-lock apply never stale"),
-                };
-                st.hists.diff_apply.record(t0.elapsed().as_nanos() as u64);
-                // Only a version-advancing apply is an apply; a duplicated
-                // or retransmitted batch the gate skipped must not emit
-                // (the invariant monitor treats a repeat as a violation).
-                if fresh && st.tracer.enabled() {
-                    st.tracer.emit(EventKind::DiffApply {
-                        page: d.page.0,
-                        bytes: d.payload_bytes() as u32,
-                        writer: d.interval.proc,
-                        interval: d.interval.seq as u64,
-                    });
-                }
-            }
-            inject_stale_apply_if_armed(st, diffs.last().map(|d| &**d));
-            send_ready_fetches(st, ready);
-            // Stop-and-wait ack. The home keeps no per-writer seq state:
-            // it acks whatever arrives (the version gate inside apply_diff
-            // is the dedup), and the writer drops stale acks by seq.
-            if seq != 0 {
-                st.send(from, Payload::DiffAck { seq });
-            }
         }
         Payload::DiffAck { seq } => match st.diff_inflight[from] {
             Some((want, _)) if want == seq => {
@@ -1367,71 +1270,6 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
         }
         Payload::BarrierRelease { episode, vt, wns } => {
             st.deposit_release(ReleaseData { episode, vt, wns });
-        }
-        Payload::PageReq {
-            page,
-            needed,
-            req_id,
-        } => {
-            // Serving a page is an Arc bump: the home's next write
-            // copy-on-writes, leaving the served buffer untouched.
-            let outcome = st.pt.home_store().serve_fetch(
-                WaitingFetch {
-                    from,
-                    page,
-                    needed,
-                    req_id,
-                },
-                || true,
-            );
-            match outcome {
-                FetchOutcome::Ready(version, bytes) => st.send(
-                    from,
-                    Payload::PageReply {
-                        page,
-                        req_id,
-                        version,
-                        bytes,
-                    },
-                ),
-                FetchOutcome::Parked => {}
-                FetchOutcome::NotHome => panic!("PageReq for page {page} not homed here"),
-                FetchOutcome::Stale => unreachable!("big-lock serve never stale"),
-            }
-        }
-        Payload::PageBatchReq { pages, req_id } => {
-            let home = st.pt.home_store();
-            let mut ready = Vec::new();
-            for (page, needed) in pages {
-                let outcome = home.serve_fetch(
-                    WaitingFetch {
-                        from,
-                        page,
-                        needed,
-                        req_id,
-                    },
-                    || true,
-                );
-                match outcome {
-                    FetchOutcome::Ready(version, bytes) => ready.push((page, version, bytes)),
-                    // Parked pages are answered individually (same req_id)
-                    // when their diffs arrive.
-                    FetchOutcome::Parked => {}
-                    FetchOutcome::NotHome => {
-                        panic!("PageBatchReq for page {page} not homed here")
-                    }
-                    FetchOutcome::Stale => unreachable!("big-lock serve never stale"),
-                }
-            }
-            if !ready.is_empty() {
-                st.send(
-                    from,
-                    Payload::PageBatchReply {
-                        req_id,
-                        pages: ready,
-                    },
-                );
-            }
         }
         Payload::PageBatchReply { req_id, pages } => {
             for (page, version, bytes) in pages {
@@ -1511,327 +1349,20 @@ pub(crate) fn handle_node_up(st: &mut NodeState, node: ProcId) {
         pages.sort_unstable_by_key(|(p, _)| p.0);
         st.send(node, Payload::PageBatchReq { pages, req_id });
     }
-    match &st.wait {
-        WaitSlot::Page {
-            page,
-            req_id,
-            home,
-            needed,
-            reply: None,
-        } if *home == node => {
-            let (page, req_id, needed) = (*page, *req_id, needed.clone());
-            st.send(
-                node,
-                Payload::PageReq {
-                    page,
-                    needed,
-                    req_id,
-                },
-            );
+    if let Some((to, req)) = peer_request(st) {
+        if to == node {
+            st.send(to, req);
         }
-        WaitSlot::Lock {
-            lock,
-            acq_seq,
-            manager,
-            req_vt,
-            grant: None,
-        } if *manager == node => {
-            let (lock, acq_seq, vt) = (*lock, *acq_seq, req_vt.clone());
-            st.send(node, Payload::LockAcq { lock, acq_seq, vt });
-        }
-        WaitSlot::Barrier {
-            episode,
-            arrive_vt,
-            own_wns,
-            release: None,
-        } if node == 0 => {
-            let (episode, vt, own_wns) = (*episode, arrive_vt.clone(), own_wns.clone());
-            st.send(
-                node,
-                Payload::BarrierArrive {
-                    episode,
-                    vt,
-                    own_wns,
-                },
-            );
-        }
-        _ => {}
     }
 }
 
-/// Big-lock handles the service loop's fast path keeps out of the big
-/// lock itself.
-struct FastCtx {
-    ep: Arc<Endpoint<Msg>>,
-    home: Arc<HomeStore>,
-    sync: Arc<Mutex<SyncState>>,
-    mode_flag: Arc<AtomicU8>,
-    tracer: NodeTracer,
-    me: ProcId,
-    member: Option<Arc<MemberRuntime>>,
-    inject_stale_apply: Option<Arc<std::sync::atomic::AtomicBool>>,
-}
-
-/// What the fast path did with a message.
-enum FastOutcome {
-    /// Handled without the big lock. `notify` says local waiters may have
-    /// been unblocked (a diff application can satisfy a blocked access to
-    /// a homed page).
-    Handled { notify: bool },
-    /// Not fast-path eligible after all (unallocated page, crash fence, or
-    /// a payload that needs big-lock state): run the big-lock path.
-    Fallback(Box<Msg>),
-}
-
-/// Handle one bare, Normal-mode message without the big lock, if its whole
-/// effect lives in the sharded home store or the sync lock. The liveness
-/// closure re-checks the mode flag *under each shard lock*, so a crash or
-/// recovery transition (flag flip + quiesce) fences these operations out;
-/// any op the fence misses is version-gated idempotent, exactly as under
-/// the old big lock.
-fn try_fast_path(
-    shared: &NodeShared,
-    cx: &FastCtx,
-    hists: &mut LatencyHists,
-    from: ProcId,
-    msg: Msg,
-) -> FastOutcome {
-    let live = || cx.mode_flag.load(Ordering::SeqCst) == MODE_NORMAL;
-    // Fast-path replies are parented on the request's flow so the exporter
-    // can stitch request → reply across nodes (0 when tracing is off).
-    let in_flow = msg.ctx.flow_id();
-    match &msg.payload {
-        Payload::PageReq {
-            page,
-            needed,
-            req_id,
-        } => {
-            let (page, req_id) = (*page, *req_id);
-            let (outcome, waited) = cx.home.serve_fetch_timed(
-                WaitingFetch {
-                    from,
-                    page,
-                    needed: needed.clone(),
-                    req_id,
-                },
-                live,
-            );
-            hists.shard_lock_wait.record(waited.as_nanos() as u64);
-            match outcome {
-                FetchOutcome::Ready(version, bytes) => {
-                    cx.ep.send(
-                        from,
-                        Msg::reply_to(
-                            Payload::PageReply {
-                                page,
-                                req_id,
-                                version,
-                                bytes,
-                            },
-                            in_flow,
-                        ),
-                    );
-                    FastOutcome::Handled { notify: false }
-                }
-                FetchOutcome::Parked => FastOutcome::Handled { notify: false },
-                FetchOutcome::NotHome | FetchOutcome::Stale => FastOutcome::Fallback(Box::new(msg)),
-            }
-        }
-        Payload::DiffBatch { seq, diffs } => {
-            let seq = *seq;
-            let mut ready = Vec::new();
-            for d in diffs {
-                let t0 = Instant::now();
-                let (outcome, waited) = cx.home.apply_diff_timed(d, live);
-                hists.shard_lock_wait.record(waited.as_nanos() as u64);
-                match outcome {
-                    ApplyOutcome::Applied { fresh, ready: r } => {
-                        hists.diff_apply.record(t0.elapsed().as_nanos() as u64);
-                        // Version-gate-skipped duplicates are not applies;
-                        // emitting them would trip the monitor on every
-                        // chaos-duplicated batch.
-                        if fresh && cx.tracer.enabled() {
-                            cx.tracer.emit(EventKind::DiffApply {
-                                page: d.page.0,
-                                bytes: d.payload_bytes() as u32,
-                                writer: d.interval.proc,
-                                interval: d.interval.seq as u64,
-                            });
-                        }
-                        ready.extend(r);
-                    }
-                    ApplyOutcome::NotHome | ApplyOutcome::Stale => {
-                        // Answer what this batch already unparked, then let
-                        // the big-lock path re-run the whole batch (diff
-                        // application is version-gated idempotent).
-                        for r in ready {
-                            cx.ep.send(
-                                r.from,
-                                Msg::reply_to(
-                                    Payload::PageReply {
-                                        page: r.page,
-                                        req_id: r.req_id,
-                                        version: r.version,
-                                        bytes: r.bytes,
-                                    },
-                                    in_flow,
-                                ),
-                            );
-                        }
-                        return FastOutcome::Fallback(Box::new(msg));
-                    }
-                }
-            }
-            if cx.tracer.enabled() {
-                if let Some(flag) = &cx.inject_stale_apply {
-                    if flag.swap(false, Ordering::Relaxed) {
-                        if let Some(d) = diffs.last() {
-                            // Deliberate protocol violation (test-only): the
-                            // monitor must flag this duplicate apply.
-                            cx.tracer.emit(EventKind::DiffApply {
-                                page: d.page.0,
-                                bytes: d.payload_bytes() as u32,
-                                writer: d.interval.proc,
-                                interval: d.interval.seq as u64,
-                            });
-                        }
-                    }
-                }
-            }
-            for r in ready {
-                cx.ep.send(
-                    r.from,
-                    Msg::reply_to(
-                        Payload::PageReply {
-                            page: r.page,
-                            req_id: r.req_id,
-                            version: r.version,
-                            bytes: r.bytes,
-                        },
-                        in_flow,
-                    ),
-                );
-            }
-            if seq != 0 {
-                cx.ep
-                    .send(from, Msg::reply_to(Payload::DiffAck { seq }, in_flow));
-            }
-            FastOutcome::Handled { notify: true }
-        }
-        Payload::PageBatchReq { pages, req_id } => {
-            let req_id = *req_id;
-            if !pages.iter().all(|(p, _)| cx.home.contains(*p)) {
-                // Some page not allocated yet: defer via the big lock.
-                return FastOutcome::Fallback(Box::new(msg));
-            }
-            let mut ready = Vec::new();
-            for (page, needed) in pages {
-                let (outcome, waited) = cx.home.serve_fetch_timed(
-                    WaitingFetch {
-                        from,
-                        page: *page,
-                        needed: needed.clone(),
-                        req_id,
-                    },
-                    live,
-                );
-                hists.shard_lock_wait.record(waited.as_nanos() as u64);
-                match outcome {
-                    FetchOutcome::Ready(version, bytes) => ready.push((*page, version, bytes)),
-                    // Parked pages are answered individually (same req_id)
-                    // when their diffs arrive.
-                    FetchOutcome::Parked => {}
-                    // Crash fence mid-batch: re-run under the big lock
-                    // (double-parked pages produce duplicate replies the
-                    // requester drops by req_id).
-                    FetchOutcome::Stale => return FastOutcome::Fallback(Box::new(msg)),
-                    FetchOutcome::NotHome => unreachable!("containment checked above"),
-                }
-            }
-            if !ready.is_empty() {
-                cx.ep.send(
-                    from,
-                    Msg::reply_to(
-                        Payload::PageBatchReply {
-                            req_id,
-                            pages: ready,
-                        },
-                        in_flow,
-                    ),
-                );
-            }
-            FastOutcome::Handled { notify: false }
-        }
-        Payload::LockAcq { lock, acq_seq, vt } => {
-            // Manager routing touches only the sync lock. The decision is
-            // taken exactly once; if it says to grant from this very node,
-            // the grant needs big-lock state (tenure, FT logs) and is
-            // finished under it below — never by re-running the message.
-            let (lock, acq_seq) = (*lock, *acq_seq);
-            let action = {
-                let mut sync = cx.sync.lock();
-                if !live() {
-                    return FastOutcome::Fallback(Box::new(msg));
-                }
-                sync.lock_mgr.on_request(
-                    lock,
-                    AcqReq {
-                        requester: from,
-                        acq_seq,
-                        vt: vt.clone(),
-                    },
-                )
-            };
-            match action {
-                None => FastOutcome::Handled { notify: false },
-                Some(a) if a.grant_from != cx.me => {
-                    cx.ep.send(
-                        a.grant_from,
-                        Msg::reply_to(
-                            Payload::LockForward {
-                                lock: a.lock,
-                                requester: a.req.requester,
-                                acq_seq: a.req.acq_seq,
-                                gen: a.gen,
-                                pred_acq: a.pred_acq,
-                                vt: a.req.vt,
-                            },
-                            in_flow,
-                        ),
-                    );
-                    FastOutcome::Handled { notify: false }
-                }
-                Some(a) => {
-                    let mut st = shared.state.lock();
-                    // A crash slipped in between the sync-lock decision and
-                    // here: drop the action. Recovery resets the manager
-                    // state and the requester retransmits on NodeUp.
-                    if st.mode == Mode::Normal {
-                        st.cur_flow = in_flow;
-                        handle_forward(
-                            &mut st,
-                            a.lock,
-                            a.req.requester,
-                            a.req.acq_seq,
-                            a.gen,
-                            a.pred_acq,
-                            a.req.vt,
-                        );
-                        st.cur_flow = 0;
-                    }
-                    FastOutcome::Handled { notify: false }
-                }
-            }
-        }
-        _ => FastOutcome::Fallback(Box::new(msg)),
-    }
-}
-
-/// The classic big-lock path: mode routing plus per-kind time accounting.
-fn slow_path(shared: &NodeShared, ev: Event<Msg>) {
+/// Handle an event under the big lock: mode routing, then [`handle_msg`]
+/// in Normal mode. Returns the kind and the handler time, which excludes
+/// the wait for the lock.
+fn under_big_lock(shared: &NodeShared, ev: Event<Msg>) -> Option<(&'static str, Duration)> {
     let kind: &'static str = match &ev {
         Event::NodeUp { .. } => "NodeUp",
-        Event::Wakeup => return,
+        Event::Wakeup => return None,
         Event::Msg { msg, .. } => msg.payload.kind(),
     };
     let mut st = shared.state.lock();
@@ -1871,98 +1402,137 @@ fn slow_path(shared: &NodeShared, ev: Event<Msg>) {
         }
     }
     let dt = t0.elapsed();
-    st.protocol_time_svc += dt;
-    *st.svc_time_by_kind.entry(kind).or_default() += dt;
     drop(st);
     shared.cv.notify_all();
+    Some((kind, dt))
+}
+
+/// Serve one protocol message. A home/sync kind in Normal mode goes
+/// through its handler without the big lock, and its replies go out
+/// before the big lock is touched at all; the lock is taken afterwards
+/// only to absorb a piggyback, finish a grant from this node, or re-route
+/// a deferred message. Every other message is handled under the big lock.
+fn serve_msg(
+    shared: &NodeShared,
+    cx: &HomeCtx,
+    ep: &Endpoint<Msg>,
+    hists: &mut LatencyHists,
+    from: ProcId,
+    msg: Msg,
+) -> Option<(&'static str, Duration)> {
+    let t0 = Instant::now();
+    let served = if cx.live() {
+        cx.serve(hists, from, &msg.payload)
+    } else {
+        None
+    };
+    let Some(s) = served else {
+        return under_big_lock(shared, Event::Msg { from, msg });
+    };
+    let kind = msg.payload.kind();
+    // Replies are parented on the request's flow so the exporter can
+    // stitch request → reply across nodes (0 when tracing is off).
+    let in_flow = msg.ctx.flow_id();
+    send_bare(ep, s.replies, in_flow);
+    let mut dt = t0.elapsed();
+    if s.defer {
+        return under_big_lock(shared, Event::Msg { from, msg }).map(|(k, d)| (k, d + dt));
+    }
+    // A diff application can satisfy a blocked access to a homed page.
+    let wakes = matches!(msg.payload, Payload::DiffBatch { .. });
+    if msg.piggy.is_some() || s.grant_self.is_some() || wakes {
+        // Taking the lock also pairs with the app thread's
+        // check-predicate-then-wait: without it a waiter between its check
+        // and `cv.wait` would miss the notification below.
+        let mut st = shared.state.lock();
+        let t1 = Instant::now();
+        if st.mode != Mode::Crashed {
+            if let (Some(p), Some(ft)) = (&msg.piggy, st.ft.as_mut()) {
+                ft.absorb_piggy(from, p);
+            }
+        }
+        // A crash slipped in between the sync-lock decision and here: drop
+        // the grant. Recovery resets the manager state and the requester
+        // retransmits on NodeUp.
+        if let (Some(a), Mode::Normal) = (s.grant_self, st.mode) {
+            st.cur_flow = in_flow;
+            dispatch_lock_action(&mut st, a);
+            st.cur_flow = 0;
+        }
+        dt += t1.elapsed();
+        drop(st);
+        if wakes {
+            shared.cv.notify_all();
+        }
+    }
+    Some((kind, dt))
+}
+
+/// Handle a membership message with the detector alone: it must not wait
+/// on the big lock (the application thread holds it while computing, and a
+/// stalled Pong looks like a dead node to the peer). A crashed node's input
+/// is already cut off at the fabric; the mode check just fences the drain
+/// race.
+fn serve_member(
+    shared: &NodeShared,
+    cx: &HomeCtx,
+    ep: &Endpoint<Msg>,
+    mr: Option<&MemberRuntime>,
+    from: ProcId,
+    w: dsm_member::Wire,
+) -> Option<Duration> {
+    let mr = mr?;
+    if cx.mode_flag.load(Ordering::SeqCst) == Mode::Crashed.flag() {
+        return None;
+    }
+    let t0 = Instant::now();
+    let actions = mr.det.lock().on_msg(from, w, Instant::now());
+    apply_member_actions(shared, ep, &cx.tracer, mr, actions);
+    Some(t0.elapsed())
 }
 
 /// The service loop: one per node, owns message receipt.
 ///
 /// Blocks on the endpoint — no polling; [`Endpoint::wake`] posts an
-/// [`Event::Wakeup`] when the shutdown flag needs re-checking. Bare
-/// messages in Normal mode first try the no-big-lock fast path.
+/// [`Event::Wakeup`] when the shutdown flag needs re-checking. Service
+/// time is accounted in one place, per message kind, in loop locals (the
+/// point of the handlers is not to touch the big lock), and folded into
+/// the node state at exit — teardown joins service threads before
+/// collecting reports.
 pub(crate) fn service_loop(shared: Arc<NodeShared>) {
-    let cx = {
+    let (cx, ep, member) = {
         let st = shared.state.lock();
-        FastCtx {
-            ep: Arc::clone(&st.ep),
-            home: st.pt.home_store(),
-            sync: Arc::clone(&st.sync),
-            mode_flag: Arc::clone(&st.mode_flag),
-            tracer: st.tracer.clone(),
-            me: st.me,
-            member: st.member.clone(),
-            inject_stale_apply: st.inject_stale_apply.clone(),
-        }
+        (HomeCtx::of(&st), Arc::clone(&st.ep), st.member.clone())
     };
-    // Fast-path accounting lives in loop locals (the point is not to touch
-    // the big lock) and is folded into the node state at exit — teardown
-    // joins service threads before collecting reports.
-    let mut fast_time: HashMap<&'static str, Duration> = HashMap::new();
-    let mut fast_hists = LatencyHists::default();
+    let mut svc_time: HashMap<&'static str, Duration> = HashMap::new();
+    let mut hists = LatencyHists::default();
     // Loop until the fabric disconnects (recv returns None) or shutdown.
-    while let Some(ev) = cx.ep.recv() {
-        match ev {
+    while let Some(ev) = ep.recv() {
+        let timed = match ev {
             Event::Wakeup => {
                 if shared.state.lock().shutdown {
                     break;
                 }
+                None
             }
-            // Membership traffic bypasses both paths: processing it must
-            // not wait on the big lock (the application thread holds it
-            // while computing, and a stalled Pong looks like a dead node to
-            // the peer). A crashed node's input is already cut off at the
-            // fabric; the mode check here just fences the drain race.
-            Event::Msg { from, msg } if matches!(msg.payload, Payload::Member(_)) => {
-                let kind = msg.payload.kind();
-                let Payload::Member(w) = msg.payload else {
-                    unreachable!()
-                };
-                if cx.mode_flag.load(Ordering::SeqCst) != Mode::Crashed.flag() {
-                    if let Some(mr) = &cx.member {
-                        let t0 = Instant::now();
-                        let actions = mr.det.lock().on_msg(from, w, Instant::now());
-                        apply_member_actions(&shared, &cx.ep, &cx.tracer, mr, actions);
-                        // Attribute detector service time per heartbeat
-                        // message kind, same as the fast path: loop-local,
-                        // folded into the node state at exit.
-                        *fast_time.entry(kind).or_default() += t0.elapsed();
-                    }
+            Event::Msg { from, msg } => match msg.payload {
+                Payload::Member(w) => {
+                    let kind = w.kind();
+                    serve_member(&shared, &cx, &ep, member.as_deref(), from, w).map(|dt| (kind, dt))
                 }
-            }
-            Event::Msg { from, msg }
-                if msg.piggy.is_none() && cx.mode_flag.load(Ordering::SeqCst) == MODE_NORMAL =>
-            {
-                let t0 = Instant::now();
-                let kind = msg.payload.kind();
-                match try_fast_path(&shared, &cx, &mut fast_hists, from, msg) {
-                    FastOutcome::Handled { notify } => {
-                        *fast_time.entry(kind).or_default() += t0.elapsed();
-                        if notify {
-                            // Lock-then-drop pairs with the app thread's
-                            // check-predicate-then-wait: without it a waiter
-                            // between its check and `cv.wait` would miss
-                            // this notification.
-                            drop(shared.state.lock());
-                            shared.cv.notify_all();
-                        }
-                    }
-                    FastOutcome::Fallback(msg) => {
-                        slow_path(&shared, Event::Msg { from, msg: *msg })
-                    }
-                }
-            }
-            ev => slow_path(&shared, ev),
+                _ => serve_msg(&shared, &cx, &ep, &mut hists, from, msg),
+            },
+            ev @ Event::NodeUp { .. } => under_big_lock(&shared, ev),
+        };
+        if let Some((kind, dt)) = timed {
+            *svc_time.entry(kind).or_default() += dt;
         }
     }
-    // Fold fast-path accounting into the shared state for reporting.
     let mut st = shared.state.lock();
-    for (k, d) in fast_time {
-        st.protocol_time_svc += d;
+    for (k, d) in svc_time {
         *st.svc_time_by_kind.entry(k).or_default() += d;
     }
-    st.hists.merge(&fast_hists);
+    st.hists.merge(&hists);
 }
 
 #[cfg(test)]
@@ -2010,7 +1580,6 @@ mod tests {
             alloc_cursor: 0,
             ft: ft.then(|| FtState::new(me, n, FtConfig::default(), store)),
             replay: None,
-            protocol_time_svc: Duration::ZERO,
             svc_time_by_kind: HashMap::new(),
             shutdown: false,
             ops: 0,
@@ -2150,9 +1719,21 @@ mod tests {
         assert!(st.make_piggy(1, false).is_some());
     }
 
+    /// The next message node 1 (endpoint `eps[0]`) receives, waiting up to
+    /// five seconds.
+    fn next_payload(ep: &Endpoint<Msg>) -> Payload {
+        match ep.recv_timeout(Duration::from_secs(5)) {
+            Some(Event::Msg { msg, .. }) => {
+                assert!(msg.piggy.is_none(), "handler replies go out bare");
+                msg.payload
+            }
+            other => panic!("expected a message, got {other:?}"),
+        }
+    }
+
     #[test]
     fn messages_for_unallocated_pages_are_deferred() {
-        let (mut st, _eps) = test_state(0, 2, false);
+        let (mut st, eps) = test_state(0, 2, false);
         handle_msg(
             &mut st,
             1,
@@ -2162,14 +1743,20 @@ mod tests {
                 req_id: 0,
             },
         );
+        // The handler never ran: the home store has no page 5 yet.
         assert_eq!(st.pending_unalloc.len(), 1);
+        assert!(eps[0].try_recv().is_none());
         for _ in 0..6 {
             st.pt.add_page(0);
         }
         drain_unalloc(&mut st);
         assert!(st.pending_unalloc.is_empty());
-        // The fetch was answered immediately (page 5 exists, zero version
-        // satisfies): nothing stays parked in the home store.
+        // The replay reached the same handler, which answered at once (page
+        // 5 exists, zero version satisfies): nothing stays parked.
+        match next_payload(&eps[0]) {
+            Payload::PageReply { page, req_id, .. } => assert_eq!((page, req_id), (PageId(5), 0)),
+            other => panic!("expected PageReply, got {}", other.kind()),
+        }
         assert!(st.pt.home_store().drain_ready().is_empty());
     }
 
@@ -2197,18 +1784,91 @@ mod tests {
             },
         );
         // Pages 0 and 2 came back in one batched reply; page 1 is parked.
-        match eps[0].try_recv() {
-            Some(Event::Msg { msg, .. }) => match msg.payload {
-                Payload::PageBatchReply { req_id, pages } => {
-                    assert_eq!(req_id, 9);
-                    let ids: Vec<_> = pages.iter().map(|(p, _, _)| *p).collect();
-                    assert_eq!(ids, vec![PageId(0), PageId(2)]);
-                }
-                other => panic!("expected PageBatchReply, got {}", other.kind()),
-            },
-            other => panic!("expected a message, got {other:?}"),
+        match next_payload(&eps[0]) {
+            Payload::PageBatchReply { req_id, pages } => {
+                assert_eq!(req_id, 9);
+                let ids: Vec<_> = pages.iter().map(|(p, _, _)| *p).collect();
+                assert_eq!(ids, vec![PageId(0), PageId(2)]);
+            }
+            other => panic!("expected PageBatchReply, got {}", other.kind()),
         }
         assert!(st.pt.home_store().drain_ready().is_empty());
+        // A diff batch covering page 1 unparks it: the same handler that
+        // applies the diff answers it individually under the batch's
+        // req_id, then acks the batch.
+        let twin = dsm_page::Page::zeroed(256);
+        let mut cur = twin.clone();
+        cur.write(0, &[1]);
+        let iv = dsm_page::Interval { proc: 1, seq: 1 };
+        let diff = Diff::create(PageId(1), iv, &twin, &cur).unwrap();
+        handle_msg(
+            &mut st,
+            1,
+            Payload::DiffBatch {
+                seq: 4,
+                diffs: vec![Arc::new(diff)],
+            },
+        );
+        match next_payload(&eps[0]) {
+            Payload::PageReply { page, req_id, .. } => assert_eq!((page, req_id), (PageId(1), 9)),
+            other => panic!("expected PageReply, got {}", other.kind()),
+        }
+        assert!(matches!(next_payload(&eps[0]), Payload::DiffAck { seq: 4 }));
+    }
+
+    #[test]
+    fn service_loop_answers_a_piggybacked_page_req_while_the_big_lock_is_held() {
+        let (mut st, eps) = test_state(0, 2, true);
+        st.pt.add_page(0);
+        let shared = Arc::new(NodeShared {
+            state: Mutex::new(st),
+            cv: Condvar::new(),
+            me: 0,
+            n: 2,
+        });
+        let svc = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || service_loop(shared))
+        };
+        let piggy = Piggy {
+            tckp: VectorClock::zero(2),
+            ckpt_seq: 3,
+            ckpt_episode: 1,
+            p0v: Vec::new(),
+            table: Vec::new(),
+        };
+        let req = |req_id| Payload::PageReq {
+            page: PageId(0),
+            needed: VectorClock::zero(2),
+            req_id,
+        };
+        let expect_reply = |want| match next_payload(&eps[0]) {
+            Payload::PageReply { page, req_id, .. } => {
+                assert_eq!((page, req_id), (PageId(0), want))
+            }
+            other => panic!("expected PageReply, got {}", other.kind()),
+        };
+        // A first answer shows the loop is past its start-up.
+        eps[0].send(0, Msg::bare(req(6)));
+        expect_reply(6);
+        // The application thread computing under the big lock must not
+        // stall the home's answer, piggyback or not.
+        let app = shared.state.lock();
+        eps[0].send(0, Msg::with_parent(req(7), Some(piggy), 0));
+        expect_reply(7);
+        drop(app);
+        // The piggyback is absorbed once the big lock is free.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while shared.state.lock().ft.as_ref().unwrap().peer_ckpt_seq[1] != 3 {
+            assert!(Instant::now() < deadline, "piggyback never absorbed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        {
+            let mut st = shared.state.lock();
+            st.shutdown = true;
+            st.ep.wake();
+        }
+        svc.join().unwrap();
     }
 
     #[test]

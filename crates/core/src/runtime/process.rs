@@ -781,7 +781,9 @@ impl Process {
                 // have seen interval vt[me]+1 if the op that created it —
                 // at or after this acquire — completed before the crash.
                 let later_iv = replay.evidence_self > st.vt.get(st.me);
-                if !(later_rel || later_bar || later_iv) {
+                // So is a manager having seen us request a later one.
+                let later_acq = replay.acq_floor > acq_seq;
+                if !(later_rel || later_bar || later_iv || later_acq) {
                     return false;
                 }
                 st.acq_seq_next += 1;

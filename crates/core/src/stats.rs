@@ -72,7 +72,7 @@ pub struct FtReport {
     pub ckpts_taken: u64,
     /// Of those, incremental (delta) checkpoints — blobs carrying only the
     /// pages written since the previous checkpoint. Zero unless
-    /// `FtConfig::incremental` is on.
+    /// `FtConfig::anchor_every` is above 1.
     pub delta_ckpts: u64,
     /// Volatile-log byte counters (created / discarded by trimming).
     pub log_counters: LogCounters,

@@ -406,3 +406,47 @@ fn anchor_every_one_degenerates_to_full_checkpoints() {
     let deltas: u64 = report.nodes.iter().map(|n| n.ft.delta_ckpts).sum();
     assert_eq!(deltas, 0, "anchor_every <= 1 must never emit deltas");
 }
+
+/// Node 1 takes lock 0 three times in a row while node 0 waits at a
+/// barrier. Manager 0 grants the first tenure itself; node 1 is then the
+/// chain tail, so manager 0 forwards the next two requests back to node 1,
+/// which grants itself. Node 1 crashes right after the second self-grant,
+/// having written only a page it homes. No peer holds a grant record or an
+/// interval of node 1 for the self-granted tenures; only the manager's
+/// record of the newest request proves the first one completed. Replay
+/// must take it as a self-grant and go live at the second, which the
+/// manager re-forwards, rather than re-request the first, which the
+/// manager drops as a stale duplicate.
+#[test]
+fn recovery_after_trailing_self_grants() {
+    let app = |p: &mut Process| -> u64 {
+        let c = p.alloc_vec::<u64>(1, HomeAlloc::Node(1));
+        if p.me() == 1 {
+            for _ in 0..3 {
+                p.acquire(0);
+                let v = c.get(p, 0);
+                c.set(p, 0, v + 1);
+                p.release(0);
+            }
+        }
+        p.barrier();
+        p.acquire(0);
+        let v = c.get(p, 0);
+        c.set(p, 0, v + 1);
+        p.release(0);
+        p.barrier();
+        c.get(p, 0)
+    };
+    let clean = run(ft_cfg(2, CkptPolicy::Never), &[], app);
+    assert_eq!(clean.results, vec![5, 5]);
+    // Node 1's ops: alloc, then (acquire, get, set, release) per tenure;
+    // op 11 is the read right after the third acquire.
+    let crashed = run(
+        ft_cfg(2, CkptPolicy::Never),
+        &[FailureSpec { node: 1, at_op: 11 }],
+        app,
+    );
+    assert_eq!(crashed.nodes[1].ft.recoveries, 1, "crash did not fire");
+    assert_eq!(clean.results, crashed.results);
+    assert_eq!(clean.shared_hash, crashed.shared_hash);
+}

@@ -150,7 +150,7 @@ pub struct LatencyHists {
     pub rec_replay: Histogram,
     /// Pages per batched prefetch request (a counter, in pages).
     pub fetch_batch_pages: Histogram,
-    /// Waiting for a home-store shard lock on the service fast path.
+    /// Waiting for a home-store shard lock in a service-thread handler.
     pub shard_lock_wait: Histogram,
     /// First touch satisfied by an in-flight prefetch (wait until installed).
     pub prefetch_hit: Histogram,

@@ -132,7 +132,7 @@ struct Shard {
 }
 
 /// The sharded home-page store. Shared as `Arc<HomeStore>` between the
-/// page table (application thread) and the service thread's fast path.
+/// page table (application thread) and the service thread's home handlers.
 #[derive(Debug)]
 pub struct HomeStore {
     shards: Vec<Mutex<Shard>>,
@@ -360,16 +360,11 @@ impl HomeStore {
         out
     }
 
-    /// Serve one fetch. `live` is re-checked *under the shard lock* so a
-    /// concurrent crash/recovery transition can fence the fast path out
-    /// (see the module docs); pass `|| true` when already serialized with
-    /// mode changes by the big lock.
-    pub fn serve_fetch(&self, req: WaitingFetch, live: impl FnOnce() -> bool) -> FetchOutcome {
-        self.serve_fetch_timed(req, live).0
-    }
-
-    /// As [`HomeStore::serve_fetch`], also reporting how long the caller
-    /// waited for the shard lock (the fast path's contention metric).
+    /// Serve one fetch, also reporting how long the caller waited for the
+    /// shard lock (the home handlers' contention metric). `live` is
+    /// re-checked *under the shard lock* so a concurrent crash/recovery
+    /// transition can fence the caller out (see the module docs); pass
+    /// `|| true` when already serialized with mode changes.
     pub fn serve_fetch_timed(
         &self,
         req: WaitingFetch,
@@ -396,7 +391,7 @@ impl HomeStore {
     /// Apply one diff. Idempotent: diffs for intervals already covered by
     /// `p.v[writer]` are skipped (recovery-time retransmissions are safe).
     /// `live` is re-checked under the shard lock, as for
-    /// [`HomeStore::serve_fetch`]. On success, any fetches the diff
+    /// [`HomeStore::serve_fetch_timed`]. On success, any fetches the diff
     /// unparked are returned for the caller to answer.
     pub fn apply_diff(&self, diff: &Diff, live: impl FnOnce() -> bool) -> ApplyOutcome {
         self.apply_diff_timed(diff, live).0
@@ -602,8 +597,9 @@ impl HomeStore {
     }
 
     /// Fence: acquire and release every shard lock in order. After this
-    /// returns, every fast-path operation that started before the caller's
-    /// preceding state change (e.g. flipping the mode flag) has finished.
+    /// returns, every service-thread handler operation that started before
+    /// the caller's preceding state change (e.g. flipping the mode flag) has
+    /// finished.
     pub fn quiesce(&self) {
         for shard in &self.shards {
             drop(shard.lock());
@@ -641,7 +637,10 @@ mod tests {
             needed: needed.clone(),
             req_id: 7,
         };
-        assert!(matches!(s.serve_fetch(req, || true), FetchOutcome::Parked));
+        assert!(matches!(
+            s.serve_fetch_timed(req, || true).0,
+            FetchOutcome::Parked
+        ));
 
         let twin = Page::zeroed(64);
         let mut cur = twin.clone();
@@ -670,7 +669,10 @@ mod tests {
             needed: VectorClock::zero(2),
             req_id: 1,
         };
-        assert!(matches!(s.serve_fetch(req, || false), FetchOutcome::Stale));
+        assert!(matches!(
+            s.serve_fetch_timed(req, || false).0,
+            FetchOutcome::Stale
+        ));
         let twin = Page::zeroed(64);
         let mut cur = twin.clone();
         cur.write(0, &[1]);
@@ -689,7 +691,10 @@ mod tests {
             needed: VectorClock::zero(2),
             req_id: 1,
         };
-        assert!(matches!(s.serve_fetch(req, || true), FetchOutcome::NotHome));
+        assert!(matches!(
+            s.serve_fetch_timed(req, || true).0,
+            FetchOutcome::NotHome
+        ));
         assert!(!s.contains(PageId(5)));
         assert!(s.contains(PageId(3)));
     }

@@ -315,6 +315,18 @@ impl LockManagerTable {
         }
     }
 
+    /// The newest acquisition sequence number `requester` is known to have
+    /// requested of any lock managed here, if any. A process requests its
+    /// acquisition k only after acquisition k − 1 was granted, so every
+    /// acquisition of `requester` numbered below this one completed.
+    pub fn newest_acq_of(&self, requester: ProcId) -> Option<u64> {
+        self.locks
+            .values()
+            .filter_map(|ml| ml.pending.get(&requester))
+            .map(|p| p.acq_seq)
+            .max()
+    }
+
     /// Current chain tail of a managed lock, if any request has been seen.
     pub fn tail_of(&self, lock: LockId) -> Option<ProcId> {
         self.locks.get(&lock).map(|ml| ml.tail)
@@ -519,6 +531,17 @@ mod tests {
         m.restore_chain(5, 6, 1, 9, Some(2));
         assert_eq!(m.tail_of(5), Some(3));
         assert_eq!(m.tail_gen_of(5), Some(7));
+    }
+
+    #[test]
+    fn newest_acq_spans_every_managed_lock() {
+        let mut m = LockManagerTable::new(0);
+        assert_eq!(m.newest_acq_of(1), None);
+        m.on_request(5, req(1, 3)).unwrap();
+        m.on_request(7, req(1, 9)).unwrap();
+        m.on_request(5, req(2, 20)).unwrap();
+        assert_eq!(m.newest_acq_of(1), Some(9));
+        assert_eq!(m.newest_acq_of(2), Some(20));
     }
 
     #[test]

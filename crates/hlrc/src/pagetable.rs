@@ -10,9 +10,10 @@
 //! turns twins into word-granularity diffs exactly as HLRC does.
 //!
 //! Home-page state itself lives in the sharded [`HomeStore`], shared with
-//! the service thread's lock-free-of-the-big-lock fast path; this table
-//! keeps the remote-page cache (application-thread state under the node's
-//! big lock) plus a slot marker recording where each page is homed.
+//! the service thread's home handlers (which never take the big lock);
+//! this table keeps the remote-page cache (application-thread state under
+//! the node's big lock) plus a slot marker recording where each page is
+//! homed.
 
 use std::sync::Arc;
 
@@ -139,7 +140,7 @@ impl PageTable {
         self.slots.is_empty()
     }
 
-    /// The shared home store, for the service thread's fast path.
+    /// The shared home store, for the service thread's home handlers.
     pub fn home_store(&self) -> Arc<HomeStore> {
         Arc::clone(&self.home)
     }
