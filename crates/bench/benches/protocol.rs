@@ -1,11 +1,29 @@
-//! Cluster-level protocol operation costs: page fetch, lock handoff,
-//! barrier crossing, and checkpointing, measured on live 2- and 4-node
-//! simulated clusters.
+//! Cluster-level protocol operation costs: page fetch, the access hit path,
+//! lock handoff, barrier crossing, and checkpointing, measured on live 2-,
+//! 4- and 8-node simulated clusters.
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ftdsm::{run, CkptPolicy, ClusterConfig, HomeAlloc, Process};
+use ftdsm::{run, CkptPolicy, ClusterConfig, HomeAlloc, Process, RunReport};
+
+/// Run `body` on every node of a fresh cluster, between two barriers, and
+/// return the report; each node's result is the time its body measured.
+fn run_cluster(
+    nodes: usize,
+    body: impl Fn(&mut Process) -> Duration + Send + Sync + 'static,
+) -> RunReport<Duration> {
+    run(
+        ClusterConfig::base(nodes).with_page_size(4096),
+        &[],
+        move |p| {
+            p.barrier();
+            let d = body(p);
+            p.barrier();
+            d
+        },
+    )
+}
 
 /// Run `iters` repetitions of an operation inside a fresh cluster and
 /// return the time node 1 spent in the loop.
@@ -14,40 +32,69 @@ fn run_timed(
     iters: u64,
     body: impl Fn(&mut Process, u64) + Send + Sync + 'static,
 ) -> Duration {
-    let report = run(
-        ClusterConfig::base(nodes).with_page_size(4096),
-        &[],
-        move |p| {
-            p.barrier();
-            let t0 = Instant::now();
-            body(p, iters);
-            let d = t0.elapsed();
-            p.barrier();
-            d
-        },
-    );
-    report.results[1]
+    run_cluster(nodes, move |p| {
+        let t0 = Instant::now();
+        body(p, iters);
+        t0.elapsed()
+    })
+    .results[1]
 }
 
+/// One remote page miss per iteration: node 1 reads the first word of
+/// `iters` distinct pages homed at node 0, each untouched before, so every
+/// read is a cold fault answered by one `PageReq` round trip (no write
+/// notices, so no prefetch batches stand in for it).
 fn bench_page_fetch(c: &mut Criterion) {
     c.bench_function("protocol/page_fetch_4k", |b| {
         b.iter_custom(|iters| {
-            run_timed(2, iters, |p, iters| {
-                let data = p.alloc_vec::<u64>(512, HomeAlloc::Node(0));
+            let report = run_cluster(2, move |p| {
+                let data = p.alloc_vec::<u64>(iters as usize * 512, HomeAlloc::Node(0));
+                let t0 = Instant::now();
                 if p.me() == 1 {
-                    for i in 0..iters {
-                        // Touch a fresh page each time by writing at home
-                        // first? Keep it simple: invalidate by round-robin
-                        // through pages; after the first pass reads are
-                        // local, so this measures the amortized fetch+read.
-                        let idx = (i % 512) as usize;
-                        std::hint::black_box(data.get(p, idx));
+                    for i in 0..iters as usize {
+                        std::hint::black_box(data.get(p, i * 512));
                     }
-                } else {
-                    // Home node idles; its service thread answers fetches.
                 }
-            })
+                t0.elapsed()
+            });
+            let page_reqs = report.nodes[1]
+                .msg_kinds
+                .iter()
+                .find(|(k, _)| *k == "PageReq")
+                .map_or(0, |&(_, c)| c);
+            assert_eq!(page_reqs, iters, "every iteration must miss exactly once");
+            report.results[1]
         })
+    });
+}
+
+/// The access hit path: one typed read and one typed write per iteration
+/// on a page that is already valid at node 1. `home` is the page's home
+/// node: 1 for a homed page (home-store shard), 0 for a cached remote copy
+/// (faulted in and twinned before the clock starts).
+fn access_hit(home: usize, iters: u64) -> Duration {
+    run_cluster(2, move |p| {
+        let data = p.alloc_vec::<u64>(512, HomeAlloc::Node(home));
+        if p.me() != 1 {
+            return Duration::ZERO;
+        }
+        data.set(p, 0, 1); // fault in, create the twin
+        let t0 = Instant::now();
+        for i in 0..iters as usize {
+            let v = data.get(p, i % 512);
+            data.set(p, (i + 1) % 512, std::hint::black_box(v) + 1);
+        }
+        t0.elapsed()
+    })
+    .results[1]
+}
+
+fn bench_access_hit(c: &mut Criterion) {
+    c.bench_function("protocol/access_hit_home", |b| {
+        b.iter_custom(|iters| access_hit(1, iters))
+    });
+    c.bench_function("protocol/access_hit_remote", |b| {
+        b.iter_custom(|iters| access_hit(0, iters))
     });
 }
 
@@ -187,7 +234,7 @@ fn bench_checkpoint(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(3));
-    targets = bench_page_fetch, bench_lock_handoff, bench_barrier, bench_write_and_flush,
+    targets = bench_page_fetch, bench_access_hit, bench_lock_handoff, bench_barrier, bench_write_and_flush,
         bench_prefetch_batch, bench_contended_home, bench_checkpoint
 }
 criterion_main!(benches);

@@ -300,23 +300,23 @@ fn fmt_ns(ns: u64) -> String {
 fn print_hists(title: &str, hists: &dsm_trace::LatencyHists) {
     println!("\n{title}:");
     println!(
-        "  {:<16} {:>8} {:>9} {:>9} {:>9} {:>9}",
-        "metric", "count", "mean", "p50", "p95", "max"
+        "  {:<21} {:>8} {:>7} {:>9} {:>9} {:>9} {:>9}",
+        "metric", "count", "unit", "mean", "p50", "p95", "max"
     );
-    for (name, h) in hists.named() {
+    for (name, unit, h) in hists.named() {
         if h.count() == 0 {
             continue;
         }
-        // `_bytes` histograms are counters, not durations.
-        let fmt = if name.ends_with("_bytes") {
-            |v: u64| v.to_string()
-        } else {
-            fmt_ns
+        // Durations carry their own scaled suffix; counts print bare.
+        let (label, fmt): (_, fn(u64) -> String) = match unit {
+            dsm_trace::Unit::Ns => ("time", fmt_ns),
+            _ => (unit.name(), |v| v.to_string()),
         };
         println!(
-            "  {:<16} {:>8} {:>9} {:>9} {:>9} {:>9}",
+            "  {:<21} {:>8} {:>7} {:>9} {:>9} {:>9} {:>9}",
             name,
             h.count(),
+            label,
             fmt(h.mean()),
             fmt(h.quantile(0.5)),
             fmt(h.quantile(0.95)),

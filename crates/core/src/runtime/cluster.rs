@@ -11,7 +11,7 @@ use dsm_metrics::Registry;
 use dsm_net::Fabric;
 use dsm_page::VectorClock;
 use dsm_storage::StableStore;
-use dsm_trace::{EventSink, Histogram, Trace, TraceConfig};
+use dsm_trace::{EventKind, EventSink, Histogram, Trace, TraceConfig};
 use hlrc::barrier::BarrierManager;
 use hlrc::{LockManagerTable, PageTable, WnTable};
 use parking_lot::{Condvar, Mutex};
@@ -440,6 +440,12 @@ where
                                     let home = st.pt.home_store();
                                     home.quiesce();
                                     home.clear_waiting();
+                                    // Traced only now: every diff apply
+                                    // that passed its liveness check has
+                                    // emitted its event under a shard lock
+                                    // the fence just drained, so none lands
+                                    // after the crash that discards it.
+                                    st.tracer.emit(EventKind::CrashInjected { at_op: st.ops });
                                 }
                                 fabric.crash(i);
                                 {

@@ -1872,6 +1872,64 @@ mod tests {
     }
 
     #[test]
+    fn homed_read_with_a_diff_in_flight_blocks_until_the_diff_lands() {
+        let (mut st, eps) = test_state(0, 2, false);
+        st.pt.add_page(0);
+        // An acquire brought node 1's write notice for interval 1; its diff
+        // is still on the way.
+        st.pt.invalidate(PageId(0), 1, 1);
+        let shared = Arc::new(NodeShared {
+            state: Mutex::new(st),
+            cv: Condvar::new(),
+            me: 0,
+            n: 2,
+        });
+        let svc = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || service_loop(shared))
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let app = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let mut p = crate::runtime::process::Process::new(shared, false);
+                let addr = dsm_page::Layout::new(256).page_base(PageId(0));
+                tx.send(p.read::<u64>(addr)).unwrap();
+            })
+        };
+        // The read's first chunk attempt runs in the same big-lock section
+        // as its op count: once the count shows, the attempt is over.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while shared.state.lock().ops == 0 {
+            assert!(Instant::now() < deadline, "the read never started");
+            std::thread::yield_now();
+        }
+        assert!(rx.try_recv().is_err(), "the read returned before the diff");
+        let twin = dsm_page::Page::zeroed(256);
+        let mut cur = twin.clone();
+        cur.write(0, &42u64.to_le_bytes());
+        let iv = dsm_page::Interval { proc: 1, seq: 1 };
+        let diff = Diff::create(PageId(0), iv, &twin, &cur).unwrap();
+        eps[0].send(
+            0,
+            Msg::bare(Payload::DiffBatch {
+                seq: 1,
+                diffs: vec![Arc::new(diff)],
+            }),
+        );
+        let got = rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(got, Ok(42), "the read returns the diff's bytes");
+        app.join().unwrap();
+        assert!(matches!(next_payload(&eps[0]), Payload::DiffAck { seq: 1 }));
+        {
+            let mut st = shared.state.lock();
+            st.shutdown = true;
+            st.ep.wake();
+        }
+        svc.join().unwrap();
+    }
+
+    #[test]
     fn prefetch_reply_installs_only_matching_and_still_needed_pages() {
         let (mut st, _eps) = test_state(1, 2, false);
         for _ in 0..2 {

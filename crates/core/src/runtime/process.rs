@@ -120,14 +120,32 @@ impl<T: Shareable> SharedVec<T> {
     }
 }
 
-/// Lock the node state, count the operation, and fire scripted crashes.
+/// Direction of one shared-memory access, borrowing the caller's bytes.
+enum Access<'a> {
+    /// Copy shared memory into the buffer.
+    Read(&'a mut [u8]),
+    /// Copy the buffer into shared memory.
+    Write(&'a [u8]),
+}
+
+impl Access<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Access::Read(dst) => dst.len(),
+            Access::Write(src) => src.len(),
+        }
+    }
+}
+
+/// Lock the node state, count the operation, and fire scripted crashes
+/// (the cluster runtime traces `CrashInjected` once the crash has fenced
+/// the service thread out).
 fn begin_op(shared: &NodeShared) -> MutexGuard<'_, NodeState> {
     let mut st = shared.state.lock();
     st.ops += 1;
     if let Some(&t) = st.crash_queue.first() {
         if st.ops >= t && st.mode == Mode::Normal && st.replay.is_none() {
             st.crash_queue.remove(0);
-            st.tracer.emit(EventKind::CrashInjected { at_op: st.ops });
             drop(st);
             std::panic::panic_any(CrashSignal);
         }
@@ -315,7 +333,7 @@ impl Process {
     pub fn read<T: Shareable>(&mut self, addr: GlobalAddr) -> T {
         let mut buf = [0u8; MAX_ACCESS];
         assert!(T::BYTES <= MAX_ACCESS, "typed access too large");
-        self.access(addr, T::BYTES, None, &mut buf);
+        self.access(addr, Access::Read(&mut buf[..T::BYTES]));
         T::read_from(&buf[..T::BYTES])
     }
 
@@ -324,54 +342,49 @@ impl Process {
         let mut buf = [0u8; MAX_ACCESS];
         assert!(T::BYTES <= MAX_ACCESS, "typed access too large");
         v.write_to(&mut buf[..T::BYTES]);
-        self.access(addr, T::BYTES, Some(T::BYTES), &mut buf);
+        self.access(addr, Access::Write(&buf[..T::BYTES]));
     }
 
     /// Read `dst.len()` raw bytes.
     pub fn read_bytes(&mut self, addr: GlobalAddr, dst: &mut [u8]) {
-        let len = dst.len();
-        self.access(addr, len, None, dst);
+        self.access(addr, Access::Read(dst));
     }
 
     /// Write raw bytes.
     pub fn write_bytes(&mut self, addr: GlobalAddr, src: &[u8]) {
-        let mut buf = src.to_vec();
-        let len = src.len();
-        self.access(addr, len, Some(len), &mut buf);
+        self.access(addr, Access::Write(src));
     }
 
-    /// The access engine: chunk over pages, faulting pages in as needed.
-    /// `write` is `Some(len)` when `buf[..len]` should be written, otherwise
-    /// the bytes are read into `buf`.
-    fn access(&mut self, addr: GlobalAddr, len: usize, write: Option<usize>, buf: &mut [u8]) {
-        {
-            let _st = begin_op(&self.shared); // op accounting + crash injection
-        }
+    /// The access engine: one big-lock section per access, chunked over
+    /// pages. Each chunk is a single checked copy
+    /// ([`hlrc::PageTable::read_into`] / [`hlrc::PageTable::write`]) that
+    /// refuses, touching nothing, when the page is not ready; only then does
+    /// the access drop the lock, fault the page in, and retry.
+    ///
+    /// Keeping the guard from [`begin_op`] across chunks is safe because a
+    /// page cannot lose validity between two of this thread's own sync ops:
+    /// only acquire, barrier and recovery invalidate, and the service thread
+    /// only adds versions or installs copies.
+    fn access(&mut self, addr: GlobalAddr, mut dir: Access<'_>) {
+        let len = dir.len();
+        let mut st = begin_op(&self.shared); // op accounting + crash injection
         let mut done = 0usize;
         while done < len {
             let cur = addr + done as u64;
             let page = self.layout.page_of(cur);
             let off = self.layout.offset_in_page(cur);
             let chunk = (self.layout.page_size() - off).min(len - done);
-            self.fault_in(page);
-            let mut st = self.shared.state.lock();
-            // The page may have been invalidated between fault_in and now
-            // only by our own sync ops (we hold the app thread), so it is
-            // still accessible; service-applied invalidations only happen
-            // at our sync points.
-            match st.pt.ensure_access(page) {
-                AccessOutcome::Ready => {
-                    if write.is_some() {
-                        st.pt.write(page, off, &buf[done..done + chunk]);
-                    } else {
-                        st.pt.read_into(page, off, &mut buf[done..done + chunk]);
-                    }
-                    done += chunk;
-                }
-                AccessOutcome::NeedFetch { .. } => {
-                    // Raced with our own protocol activity: fault in again.
-                    drop(st);
-                }
+            let span = done..done + chunk;
+            let hit = match &mut dir {
+                Access::Read(dst) => st.pt.read_into(page, off, &mut dst[span]),
+                Access::Write(src) => st.pt.write(page, off, &src[span]),
+            };
+            if hit {
+                done += chunk;
+            } else {
+                drop(st);
+                self.fault_in(page);
+                st = self.shared.state.lock();
             }
         }
     }

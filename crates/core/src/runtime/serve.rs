@@ -193,17 +193,17 @@ impl HomeCtx {
         let mut s = Served::default();
         for d in diffs {
             let t0 = Instant::now();
-            let (outcome, waited) = self.home.apply_diff_timed(d, || self.live());
+            // Only a version-advancing apply is an apply: the invariant
+            // monitor treats a repeat as a violation, and chaos duplicates
+            // batches. The event is emitted under the shard lock, so a crash
+            // fence that quiesces the shards orders it before the crash.
+            let (outcome, waited) =
+                self.home
+                    .apply_diff_timed(d, || self.live(), || emit_diff_apply(&self.tracer, d));
             hists.shard_lock_wait.record(waited.as_nanos() as u64);
             match outcome {
-                ApplyOutcome::Applied { fresh, ready } => {
+                ApplyOutcome::Applied { ready, .. } => {
                     hists.diff_apply.record(t0.elapsed().as_nanos() as u64);
-                    // Only a version-advancing apply is an apply: the
-                    // invariant monitor treats a repeat as a violation, and
-                    // chaos duplicates batches.
-                    if fresh {
-                        emit_diff_apply(&self.tracer, d);
-                    }
                     s.replies.extend(ready.into_iter().map(page_reply));
                 }
                 // Answer what the batch already unparked; the re-run applies

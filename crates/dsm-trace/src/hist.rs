@@ -123,7 +123,8 @@ impl Histogram {
     }
 }
 
-/// The named latency histograms every node keeps (all in nanoseconds).
+/// The named histograms every node keeps: latencies in nanoseconds plus a
+/// few per-event counts (see [`LatencyHists::named`] for each one's unit).
 #[derive(Debug, Clone, Default)]
 pub struct LatencyHists {
     /// Remote page fetch, fault to installed copy.
@@ -176,30 +177,56 @@ pub struct LatencyHists {
     pub ckpt_delta_pages: Histogram,
 }
 
+/// What a histogram's samples measure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// A duration in nanoseconds.
+    Ns,
+    /// A count of pages.
+    Pages,
+    /// A count of bytes.
+    Bytes,
+    /// A count of retransmissions.
+    Retries,
+}
+
+impl Unit {
+    /// Short lowercase name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Unit::Ns => "ns",
+            Unit::Pages => "pages",
+            Unit::Bytes => "bytes",
+            Unit::Retries => "retries",
+        }
+    }
+}
+
 impl LatencyHists {
-    /// (label, histogram) pairs in print order.
-    pub fn named(&self) -> [(&'static str, &Histogram); 20] {
+    /// (label, unit, histogram) triples in print order.
+    pub fn named(&self) -> [(&'static str, Unit, &Histogram); 20] {
+        use Unit::*;
         [
-            ("page_fetch", &self.page_fetch),
-            ("lock_wait", &self.lock_wait),
-            ("barrier_wait", &self.barrier_wait),
-            ("diff_create", &self.diff_create),
-            ("diff_apply", &self.diff_apply),
-            ("fetch_copy_bytes", &self.fetch_copy),
-            ("ckpt_write", &self.ckpt_write),
-            ("rec_restore", &self.rec_restore),
-            ("rec_log_collect", &self.rec_log_collect),
-            ("rec_replay", &self.rec_replay),
-            ("fetch_batch_pages", &self.fetch_batch_pages),
-            ("shard_lock_wait", &self.shard_lock_wait),
-            ("prefetch_hit", &self.prefetch_hit),
-            ("prefetch_miss", &self.prefetch_miss),
-            ("heartbeat_rtt", &self.heartbeat_rtt),
-            ("suspicion_latency", &self.suspicion_latency),
-            ("retransmits", &self.retransmits),
-            ("barrier_release_build", &self.barrier_release_build),
-            ("release_flush", &self.release_flush),
-            ("ckpt_delta_pages", &self.ckpt_delta_pages),
+            ("page_fetch", Ns, &self.page_fetch),
+            ("lock_wait", Ns, &self.lock_wait),
+            ("barrier_wait", Ns, &self.barrier_wait),
+            ("diff_create", Ns, &self.diff_create),
+            ("diff_apply", Ns, &self.diff_apply),
+            ("fetch_copy_bytes", Bytes, &self.fetch_copy),
+            ("ckpt_write", Ns, &self.ckpt_write),
+            ("rec_restore", Ns, &self.rec_restore),
+            ("rec_log_collect", Ns, &self.rec_log_collect),
+            ("rec_replay", Ns, &self.rec_replay),
+            ("fetch_batch_pages", Pages, &self.fetch_batch_pages),
+            ("shard_lock_wait", Ns, &self.shard_lock_wait),
+            ("prefetch_hit", Ns, &self.prefetch_hit),
+            ("prefetch_miss", Ns, &self.prefetch_miss),
+            ("heartbeat_rtt", Ns, &self.heartbeat_rtt),
+            ("suspicion_latency", Ns, &self.suspicion_latency),
+            ("retransmits", Retries, &self.retransmits),
+            ("barrier_release_build", Ns, &self.barrier_release_build),
+            ("release_flush", Ns, &self.release_flush),
+            ("ckpt_delta_pages", Pages, &self.ckpt_delta_pages),
         ]
     }
 
@@ -301,5 +328,16 @@ mod tests {
         assert_eq!(a.page_fetch.count(), 2);
         assert_eq!(a.lock_wait.count(), 1);
         assert_eq!(a.named()[0].0, "page_fetch");
+    }
+
+    #[test]
+    fn count_histograms_carry_their_units() {
+        let h = LatencyHists::default();
+        let unit = |name: &str| h.named().iter().find(|n| n.0 == name).unwrap().1;
+        assert_eq!(unit("page_fetch"), Unit::Ns);
+        assert_eq!(unit("fetch_batch_pages"), Unit::Pages);
+        assert_eq!(unit("ckpt_delta_pages"), Unit::Pages);
+        assert_eq!(unit("fetch_copy_bytes"), Unit::Bytes);
+        assert_eq!(unit("retransmits"), Unit::Retries);
     }
 }

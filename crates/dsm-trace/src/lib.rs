@@ -25,7 +25,7 @@ mod ring;
 pub use ctx::TraceCtx;
 pub use event::{Event, EventKind, RecPhase, TrimRule};
 pub use flight::{dump_flight_recorders, register_flight_recorder};
-pub use hist::{bucket_lo, bucket_of, Histogram, LatencyHists, BUCKETS};
+pub use hist::{bucket_lo, bucket_of, Histogram, LatencyHists, Unit, BUCKETS};
 pub use ring::Ring;
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -16,7 +16,6 @@
 //! interleave exactly as they did under the big lock — just page-wise
 //! instead of node-wise.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -117,9 +116,45 @@ pub enum ApplyOutcome {
     Stale,
 }
 
+/// One shard's entries: a dense vector indexed by `page / NUM_SHARDS`, so
+/// the access hit path finds its page with one bounds check instead of a
+/// hash lookup. Slots of pages homed elsewhere stay `None`.
+#[derive(Debug)]
+struct PageMap {
+    /// This shard's index (recovers page ids when walking the map).
+    shard: usize,
+    slots: Vec<Option<HomeEntry>>,
+}
+
+impl PageMap {
+    fn get(&self, page: u32) -> Option<&HomeEntry> {
+        self.slots.get(page as usize / NUM_SHARDS)?.as_ref()
+    }
+
+    fn get_mut(&mut self, page: u32) -> Option<&mut HomeEntry> {
+        self.slots.get_mut(page as usize / NUM_SHARDS)?.as_mut()
+    }
+
+    fn insert(&mut self, page: u32, e: HomeEntry) -> Option<HomeEntry> {
+        let i = page as usize / NUM_SHARDS;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        self.slots[i].replace(e)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (u32, &mut HomeEntry)> {
+        let shard = self.shard;
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(move |(i, e)| Some(((i * NUM_SHARDS + shard) as u32, e.as_mut()?)))
+    }
+}
+
 #[derive(Debug)]
 struct Shard {
-    entries: HashMap<u32, HomeEntry>,
+    entries: PageMap,
     /// Fetches parked until in-flight diffs arrive.
     waiting: Vec<WaitingFetch>,
     /// Buffer pool for this shard's copy-on-write and diff application.
@@ -129,6 +164,30 @@ struct Shard {
     /// release flush visits exactly the dirty pages instead of scanning
     /// every entry.
     dirty: Vec<u32>,
+}
+
+impl Shard {
+    /// Move every parked fetch whose page now satisfies its needed version
+    /// to `out`.
+    fn drain_ready(&mut self, out: &mut Vec<ReadyFetch>) {
+        let mut i = 0;
+        while i < self.waiting.len() {
+            let w = &self.waiting[i];
+            match self.entries.get(w.page.0) {
+                Some(e) if e.version.covers(&w.needed) => {
+                    let w = self.waiting.swap_remove(i);
+                    out.push(ReadyFetch {
+                        from: w.from,
+                        page: w.page,
+                        req_id: w.req_id,
+                        version: e.version.clone(),
+                        bytes: e.copy.share(),
+                    });
+                }
+                _ => i += 1,
+            }
+        }
+    }
 }
 
 /// The sharded home-page store. Shared as `Arc<HomeStore>` between the
@@ -154,9 +213,12 @@ impl HomeStore {
     pub fn new(n: usize, page_size: usize) -> Self {
         HomeStore {
             shards: (0..NUM_SHARDS)
-                .map(|_| {
+                .map(|shard| {
                     Mutex::new(Shard {
-                        entries: HashMap::new(),
+                        entries: PageMap {
+                            shard,
+                            slots: Vec::new(),
+                        },
                         waiting: Vec::new(),
                         pool: PagePool::new(page_size),
                         dirty: Vec::new(),
@@ -196,14 +258,15 @@ impl HomeStore {
         self.shards[shard_of(page)]
             .lock()
             .entries
-            .contains_key(&page.0)
+            .get(page.0)
+            .is_some()
     }
 
     fn with<R>(&self, page: PageId, f: impl FnOnce(&mut HomeEntry, &mut PagePool) -> R) -> R {
         let shard = &mut *self.shards[shard_of(page)].lock();
         let e = shard
             .entries
-            .get_mut(&page.0)
+            .get_mut(page.0)
             .unwrap_or_else(|| panic!("page {page} not homed here"));
         f(e, &mut shard.pool)
     }
@@ -220,24 +283,35 @@ impl HomeStore {
         })
     }
 
-    /// Copy `dst.len()` bytes at `offset` out of the home copy.
-    pub fn read_into(&self, page: PageId, offset: usize, dst: &mut [u8]) {
+    /// Copy `dst.len()` bytes at `offset` out of the home copy: one shard
+    /// lock and one lookup for the readiness test and the copy together.
+    /// Returns `false`, touching nothing, while the copy's `version` does
+    /// not cover `needed` (in-flight diffs are still missing).
+    pub fn read_into(&self, page: PageId, offset: usize, dst: &mut [u8]) -> bool {
         self.with(page, |e, _| {
-            dst.copy_from_slice(e.copy.read(offset, dst.len()));
-        });
+            let ready = e.version.covers(&e.needed);
+            if ready {
+                dst.copy_from_slice(e.copy.read(offset, dst.len()));
+            }
+            ready
+        })
     }
 
     /// Write to the home copy, snapshotting the twin on the interval's
-    /// first write. Returns `true` when this write created the twin.
+    /// first write. Returns `false`, touching nothing (no twin, no dirty
+    /// entry, no checkpoint mark, no bytes), when the copy is not ready as
+    /// for [`HomeStore::read_into`].
     pub fn write(&self, page: PageId, offset: usize, bytes: &[u8]) -> bool {
         let s = shard_of(page);
         let shard = &mut *self.shards[s].lock();
         let e = shard
             .entries
-            .get_mut(&page.0)
+            .get_mut(page.0)
             .unwrap_or_else(|| panic!("page {page} not homed here"));
-        let first = e.twin.is_none();
-        if first {
+        if !e.version.covers(&e.needed) {
+            return false;
+        }
+        if e.twin.is_none() {
             e.twin = Some(e.copy.twin());
             if shard.dirty.is_empty() {
                 self.dirty_mask.fetch_or(1 << s, Ordering::Relaxed);
@@ -246,7 +320,7 @@ impl HomeStore {
         }
         e.ckpt_dirty = true;
         e.copy.write_pooled(&mut shard.pool, offset, bytes);
-        first
+        true
     }
 
     /// Any pages twinned this interval? O(1): one atomic load, no locks.
@@ -288,7 +362,7 @@ impl HomeStore {
             let mut pages = std::mem::take(&mut shard.dirty);
             pages.sort_unstable();
             for p in pages {
-                let e = shard.entries.get_mut(&p).unwrap();
+                let e = shard.entries.get_mut(p).unwrap();
                 let Some(twin) = e.twin.take() else {
                     continue; // cleared by a concurrent restore
                 };
@@ -376,7 +450,7 @@ impl HomeStore {
         if !live() {
             return (FetchOutcome::Stale, waited);
         }
-        let Some(e) = shard.entries.get_mut(&req.page.0) else {
+        let Some(e) = shard.entries.get_mut(req.page.0) else {
             return (FetchOutcome::NotHome, waited);
         };
         let outcome = if e.version.covers(&req.needed) {
@@ -394,32 +468,27 @@ impl HomeStore {
     /// [`HomeStore::serve_fetch_timed`]. On success, any fetches the diff
     /// unparked are returned for the caller to answer.
     pub fn apply_diff(&self, diff: &Diff, live: impl FnOnce() -> bool) -> ApplyOutcome {
-        self.apply_diff_timed(diff, live).0
+        self.apply_diff_timed(diff, live, || {}).0
     }
 
     /// As [`HomeStore::apply_diff`], also reporting the shard-lock wait.
+    /// `applied` runs under the shard lock when the version advances, so
+    /// whatever it records is ordered before a crash fence
+    /// ([`HomeStore::quiesce`]) that follows the apply.
     pub fn apply_diff_timed(
         &self,
         diff: &Diff,
         live: impl FnOnce() -> bool,
+        applied: impl FnOnce(),
     ) -> (ApplyOutcome, std::time::Duration) {
         let t0 = std::time::Instant::now();
         let shard = &mut *self.shards[shard_of(diff.page)].lock();
         let waited = t0.elapsed();
-        (self.apply_diff_locked(shard, diff, live), waited)
-    }
-
-    fn apply_diff_locked(
-        &self,
-        shard: &mut Shard,
-        diff: &Diff,
-        live: impl FnOnce() -> bool,
-    ) -> ApplyOutcome {
         if !live() {
-            return ApplyOutcome::Stale;
+            return (ApplyOutcome::Stale, waited);
         }
-        let Some(e) = shard.entries.get_mut(&diff.page.0) else {
-            return ApplyOutcome::NotHome;
+        let Some(e) = shard.entries.get_mut(diff.page.0) else {
+            return (ApplyOutcome::NotHome, waited);
         };
         let writer = diff.interval.proc;
         let fresh = e.version.get(writer) < diff.interval.seq;
@@ -430,28 +499,13 @@ impl HomeStore {
             if !e.writers.contains(&writer) {
                 e.writers.push(writer);
             }
+            applied();
         }
         // Unpark every waiter this shard can now serve (the diff may cover
         // other waiters' pages only in this shard — cheap linear scan).
         let mut ready = Vec::new();
-        let mut i = 0;
-        while i < shard.waiting.len() {
-            let page = shard.waiting[i].page;
-            let e = &shard.entries[&page.0];
-            if e.version.covers(&shard.waiting[i].needed) {
-                let w = shard.waiting.swap_remove(i);
-                ready.push(ReadyFetch {
-                    from: w.from,
-                    page: w.page,
-                    req_id: w.req_id,
-                    version: e.version.clone(),
-                    bytes: e.copy.share(),
-                });
-            } else {
-                i += 1;
-            }
-        }
-        ApplyOutcome::Applied { fresh, ready }
+        shard.drain_ready(&mut ready);
+        (ApplyOutcome::Applied { fresh, ready }, waited)
     }
 
     /// Drain every parked fetch that has become servable (used after
@@ -459,28 +513,7 @@ impl HomeStore {
     pub fn drain_ready(&self) -> Vec<ReadyFetch> {
         let mut ready = Vec::new();
         for shard in &self.shards {
-            let shard = &mut *shard.lock();
-            let mut i = 0;
-            while i < shard.waiting.len() {
-                let page = shard.waiting[i].page;
-                let ok = shard
-                    .entries
-                    .get(&page.0)
-                    .is_some_and(|e| e.version.covers(&shard.waiting[i].needed));
-                if ok {
-                    let w = shard.waiting.swap_remove(i);
-                    let e = &shard.entries[&page.0];
-                    ready.push(ReadyFetch {
-                        from: w.from,
-                        page: w.page,
-                        req_id: w.req_id,
-                        version: e.version.clone(),
-                        bytes: e.copy.share(),
-                    });
-                } else {
-                    i += 1;
-                }
-            }
+            shard.lock().drain_ready(&mut ready);
         }
         ready
     }
@@ -519,7 +552,7 @@ impl HomeStore {
         let shard = &mut *self.shards[s].lock();
         let e = shard
             .entries
-            .get_mut(&page.0)
+            .get_mut(page.0)
             .unwrap_or_else(|| panic!("page {page} not homed here"));
         e.copy = Page::from_bytes(bytes);
         e.version = version;
@@ -541,7 +574,7 @@ impl HomeStore {
             let shard = &mut *shard.lock();
             shard.waiting.clear();
             shard.dirty.clear();
-            for e in shard.entries.values_mut() {
+            for (_, e) in shard.entries.iter_mut() {
                 e.twin = None;
                 e.needed = VectorClock::zero(self.n);
             }
@@ -558,7 +591,7 @@ impl HomeStore {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = &mut *shard.lock();
-            for (&p, e) in shard.entries.iter_mut() {
+            for (p, e) in shard.entries.iter_mut() {
                 if e.ckpt_dirty {
                     e.ckpt_dirty = false;
                     out.push(PageId(p));
@@ -574,8 +607,7 @@ impl HomeStore {
     pub fn needed_triples(&self) -> Vec<(PageId, ProcId, u32)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock();
-            for (&p, e) in shard.entries.iter() {
+            for (p, e) in shard.lock().entries.iter_mut() {
                 for (w, &seq) in e.needed.as_slice().iter().enumerate() {
                     if seq > 0 {
                         out.push((PageId(p), w, seq));
@@ -703,7 +735,10 @@ mod tests {
     fn twin_write_end_interval_produces_sorted_diffs() {
         let s = store();
         assert!(s.write(PageId(8), 0, &[1, 2]));
-        assert!(!s.write(PageId(8), 8, &[3])); // twin already exists
+        assert_eq!(s.written_pages(), vec![PageId(8)]);
+        assert!(s.write(PageId(8), 8, &[3]));
+        // The twin already exists: the second write is not listed again.
+        assert_eq!(s.written_pages(), vec![PageId(8)]);
         assert!(s.write(PageId(0), 0, &[4]));
         assert_eq!(s.written_pages(), vec![PageId(0), PageId(8)]);
         let mut scratch = DiffScratch::new();
@@ -723,6 +758,9 @@ mod tests {
         let gap = s.access_gap(PageId(0)).expect("gated");
         assert_eq!(gap.get(1), 3);
         assert!(!s.satisfies(PageId(0), &gap));
+        let mut buf = [0xAAu8; 4];
+        assert!(!s.read_into(PageId(0), 0, &mut buf), "gated read refused");
+        assert_eq!(buf, [0xAA; 4], "a refused read leaves the buffer alone");
         let twin = Page::zeroed(64);
         let mut cur = twin.clone();
         cur.write(0, &[5]);
@@ -732,8 +770,61 @@ mod tests {
             ApplyOutcome::Applied { fresh: true, .. }
         ));
         assert!(s.access_gap(PageId(0)).is_none());
+        assert!(s.read_into(PageId(0), 0, &mut buf));
+        assert_eq!(buf, [5, 0, 0, 0]);
         assert!(s.writers_contain(PageId(0), 1));
         assert!(!s.writers_contain(PageId(0), 0));
+    }
+
+    #[test]
+    fn refused_write_while_gated_touches_nothing() {
+        let s = store();
+        s.take_ckpt_dirty(); // fresh pages start dirty
+        s.bump_needed(PageId(0), 1, 2);
+        assert!(!s.write(PageId(0), 0, &[9; 8]));
+        assert!(!s.has_writes(), "no twin, no dirty entry");
+        assert!(s.written_pages().is_empty());
+        assert!(s.take_ckpt_dirty().is_empty(), "no checkpoint mark");
+        assert_eq!(&s.snapshot(PageId(0)).1[..8], &[0; 8], "no bytes");
+        // The diff lands: the same write now goes through.
+        let twin = Page::zeroed(64);
+        let mut cur = twin.clone();
+        cur.write(8, &[1]);
+        let d = Diff::create(PageId(0), iv(1, 2), &twin, &cur).unwrap();
+        s.apply_diff(&d, || true);
+        assert!(s.write(PageId(0), 0, &[9; 8]));
+        assert_eq!(s.written_pages(), vec![PageId(0)]);
+        assert_eq!(&s.snapshot(PageId(0)).1[..9], &[9, 9, 9, 9, 9, 9, 9, 9, 1]);
+    }
+
+    #[test]
+    fn applied_callback_runs_only_for_fresh_applies() {
+        let s = store();
+        let twin = Page::zeroed(64);
+        let mut cur = twin.clone();
+        cur.write(0, &[3]);
+        let d = Diff::create(PageId(3), iv(1, 1), &twin, &cur).unwrap();
+        let mut calls = 0;
+        s.apply_diff_timed(&d, || true, || calls += 1);
+        s.apply_diff_timed(&d, || true, || calls += 1); // duplicate
+        s.apply_diff_timed(&d, || false, || calls += 1); // fenced out
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn dense_shard_maps_recover_page_ids() {
+        let s = HomeStore::new(2, 64);
+        // Sparse ids, several per shard, added out of order.
+        for p in [41u32, 1, 17, 8, 0, 9] {
+            s.add(PageId(p));
+        }
+        let ids: Vec<u32> = s.take_ckpt_dirty().iter().map(|p| p.0).collect();
+        assert_eq!(ids, vec![0, 1, 8, 9, 17, 41]);
+        assert!(s.contains(PageId(41)));
+        assert!(!s.contains(PageId(33)), "hole inside a shard's range");
+        assert!(!s.contains(PageId(49)), "past a shard's end");
+        s.bump_needed(PageId(17), 1, 4);
+        assert_eq!(s.needed_triples(), vec![(PageId(17), 1, 4)]);
     }
 
     #[test]

@@ -184,6 +184,9 @@ impl PageTable {
     }
 
     /// Can `page` be accessed right now, and if not, what fetch is needed?
+    /// The miss path's question: a hit goes straight to
+    /// [`PageTable::read_into`] / [`PageTable::write`], which test
+    /// readiness themselves.
     pub fn ensure_access(&self, page: PageId) -> AccessOutcome {
         match &self.slots[page.index()].entry {
             Entry::Home => match self.home.access_gap(page) {
@@ -206,50 +209,52 @@ impl PageTable {
         }
     }
 
-    /// Copy `dst.len()` bytes at `offset` of a `Ready` page into `dst`.
-    ///
-    /// # Panics
-    /// If the page is not accessible (callers must first get
-    /// [`AccessOutcome::Ready`]).
-    pub fn read_into(&self, page: PageId, offset: usize, dst: &mut [u8]) {
+    /// Copy `dst.len()` bytes at `offset` of `page` into `dst`: the access
+    /// hit path, with the readiness test and the copy in one call. Returns
+    /// `false`, touching nothing, when the page is not ready — a remote
+    /// page is [`PageState::Invalid`], or a home copy's version does not
+    /// cover its `needed` — and the caller must fault it in (see
+    /// [`PageTable::ensure_access`]) and retry.
+    pub fn read_into(&self, page: PageId, offset: usize, dst: &mut [u8]) -> bool {
         match &self.slots[page.index()].entry {
             Entry::Home => self.home.read_into(page, offset, dst),
-            Entry::Remote(m) => dst.copy_from_slice(
-                m.copy
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("read of invalid page {page}"))
-                    .read(offset, dst.len()),
-            ),
+            Entry::Remote(m) => {
+                if m.state != PageState::Valid {
+                    return false;
+                }
+                let copy = m.copy.as_ref().expect("valid page has a copy");
+                dst.copy_from_slice(copy.read(offset, dst.len()));
+                true
+            }
         }
     }
 
-    /// Write `bytes` at `offset` of a `Ready` page, creating the twin on the
-    /// first write of the interval.
-    ///
-    /// # Panics
-    /// If the page is not accessible.
-    pub fn write(&mut self, page: PageId, offset: usize, bytes: &[u8]) {
+    /// Write `bytes` at `offset` of `page`, creating the twin on the first
+    /// write of the interval. Returns `false`, touching nothing (no twin,
+    /// no dirty-set entry, no bytes), when the page is not ready, as for
+    /// [`PageTable::read_into`].
+    pub fn write(&mut self, page: PageId, offset: usize, bytes: &[u8]) -> bool {
         let Self {
             slots,
+            home,
             pool,
             twinned,
             ..
         } = self;
         let slot = &mut slots[page.index()];
         match &mut slot.entry {
-            Entry::Home => {
-                self.home.write(page, offset, bytes);
-            }
+            Entry::Home => home.write(page, offset, bytes),
             Entry::Remote(m) => {
-                let copy = m
-                    .copy
-                    .as_mut()
-                    .unwrap_or_else(|| panic!("write to invalid page {page}"));
+                if m.state != PageState::Valid {
+                    return false;
+                }
+                let copy = m.copy.as_mut().expect("valid page has a copy");
                 if slot.twin.is_none() {
                     slot.twin = Some(copy.twin());
                     twinned.push(page);
                 }
                 copy.write_pooled(pool, offset, bytes);
+                true
             }
         }
     }
@@ -505,7 +510,7 @@ mod tests {
 
     fn read_vec(t: &PageTable, page: PageId, offset: usize, len: usize) -> Vec<u8> {
         let mut buf = vec![0u8; len];
-        t.read_into(page, offset, &mut buf);
+        assert!(t.read_into(page, offset, &mut buf), "{page} not ready");
         buf
     }
 
@@ -531,11 +536,54 @@ mod tests {
     }
 
     #[test]
+    fn refused_access_to_an_invalid_remote_page_touches_nothing() {
+        let mut t = table();
+        let mut buf = [0xAAu8; 4];
+        assert!(!t.read_into(PageId(1), 0, &mut buf));
+        assert_eq!(buf, [0xAA; 4]);
+        assert!(!t.write(PageId(1), 0, &[1]));
+        // Invalidated after a fetch: refused the same way.
+        t.install_fetch(PageId(1), vec![5u8; 64].into(), &VectorClock::zero(2));
+        t.invalidate(PageId(1), 1, 2);
+        assert!(!t.read_into(PageId(1), 0, &mut buf));
+        assert_eq!(buf, [0xAA; 4]);
+        assert!(!t.write(PageId(1), 0, &[1]));
+        assert!(!t.has_writes(), "no twin, no dirty entry");
+        assert!(t.written_pages().is_empty());
+        // The refetched copy carries no trace of the refused write.
+        t.install_fetch(PageId(1), vec![6u8; 64].into(), &{
+            let mut v = VectorClock::zero(2);
+            v.set(1, 2);
+            v
+        });
+        assert_eq!(read_vec(&t, PageId(1), 0, 2), &[6, 6]);
+        let (diffs, written) = t.end_interval(iv(0, 1));
+        assert!(diffs.is_empty() && written.is_empty());
+    }
+
+    #[test]
+    fn refused_write_to_a_gated_home_page_touches_nothing() {
+        let mut t = table();
+        t.take_ckpt_dirty(); // fresh pages start dirty
+        t.invalidate(PageId(0), 1, 2); // notice ahead of the diff
+        assert!(!t.write(PageId(0), 0, &[9; 4]));
+        let mut buf = [0xAAu8; 4];
+        assert!(!t.read_into(PageId(0), 0, &mut buf));
+        assert_eq!(buf, [0xAA; 4]);
+        assert!(!t.has_writes(), "no twin, no dirty entry");
+        assert!(t.written_pages().is_empty());
+        assert!(t.take_ckpt_dirty().is_empty(), "no checkpoint mark");
+        assert_eq!(&t.home_snapshot(PageId(0)).1[..4], &[0; 4], "no bytes");
+        let (diffs, written) = t.end_interval(iv(0, 1));
+        assert!(diffs.is_empty() && written.is_empty());
+    }
+
+    #[test]
     fn fetch_install_then_write_creates_twin_and_diff() {
         let mut t = table();
         t.install_fetch(PageId(1), vec![0u8; 64].into(), &VectorClock::zero(2));
         assert_eq!(t.ensure_access(PageId(1)), AccessOutcome::Ready);
-        t.write(PageId(1), 8, &[42]);
+        assert!(t.write(PageId(1), 8, &[42]));
         assert!(t.has_writes());
         assert_eq!(t.written_pages(), vec![PageId(1)]);
         let (diffs, written) = t.end_interval(iv(0, 1));
@@ -550,7 +598,7 @@ mod tests {
     #[test]
     fn home_writes_advance_own_version_at_interval_end() {
         let mut t = table();
-        t.write(PageId(0), 0, &[1, 2, 3]);
+        assert!(t.write(PageId(0), 0, &[1, 2, 3]));
         assert!(t.has_writes());
         assert_eq!(t.written_pages(), vec![PageId(0)]);
         let (diffs, _) = t.end_interval(iv(0, 3));
@@ -564,8 +612,8 @@ mod tests {
     fn mixed_home_and_remote_writes_diff_in_page_order() {
         let mut t = table();
         t.install_fetch(PageId(1), vec![0u8; 64].into(), &VectorClock::zero(2));
-        t.write(PageId(1), 0, &[9]);
-        t.write(PageId(0), 0, &[8]);
+        assert!(t.write(PageId(1), 0, &[9]));
+        assert!(t.write(PageId(0), 0, &[8]));
         assert_eq!(t.written_pages(), vec![PageId(0), PageId(1)]);
         let (diffs, written) = t.end_interval(iv(0, 1));
         assert_eq!(diffs.len(), 2);
@@ -614,6 +662,7 @@ mod tests {
     fn home_access_waits_for_pending_diffs() {
         let mut t = table();
         t.invalidate(PageId(0), 1, 2); // notice arrived before the diff
+        assert!(!t.read_into(PageId(0), 0, &mut [0u8; 8]));
         match t.ensure_access(PageId(0)) {
             AccessOutcome::NeedFetch { home, needed } => {
                 assert_eq!(home, 0);
@@ -628,6 +677,7 @@ mod tests {
         let d = Diff::create(PageId(0), iv(1, 2), &twin, &cur).unwrap();
         t.home_apply_diff(&d);
         assert_eq!(t.ensure_access(PageId(0)), AccessOutcome::Ready);
+        assert_eq!(read_vec(&t, PageId(0), 0, 8), &[1; 8]);
     }
 
     #[test]

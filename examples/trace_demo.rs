@@ -71,10 +71,11 @@ fn main() {
     write_jsonl(&report.trace, &mut f).expect("write jsonl");
 
     println!("\nlatency summary (all nodes merged):");
-    for (name, h) in report.total_hists().named() {
+    for (name, unit, h) in report.total_hists().named() {
         if h.count() > 0 {
+            let u = unit.name();
             println!(
-                "  {name:<16} n={:<6} mean={:>9}ns p95={:>9}ns max={:>9}ns",
+                "  {name:<16} n={:<6} mean={:>9}{u} p95={:>9}{u} max={:>9}{u}",
                 h.count(),
                 h.mean(),
                 h.quantile(0.95),

@@ -132,6 +132,8 @@ REDUCTION=$(awk -v post="$RT_PER_PAGE" -v pre="$PRE_RT_PER_PAGE" 'BEGIN { printf
     echo '    },'
     echo '    "bench_ns_per_iter": {'
     echo "      \"page_fetch_4k\": $(pmedian protocol/page_fetch_4k),"
+    echo "      \"access_hit_home\": $(pmedian protocol/access_hit_home),"
+    echo "      \"access_hit_remote\": $(pmedian protocol/access_hit_remote),"
     echo "      \"lock_roundtrip_2n\": $(pmedian protocol/lock_roundtrip_2n),"
     echo "      \"barrier_2n\": $(pmedian protocol/barrier_2n),"
     echo "      \"barrier_4n\": $(pmedian protocol/barrier_4n),"
@@ -142,6 +144,13 @@ REDUCTION=$(awk -v post="$RT_PER_PAGE" -v pre="$PRE_RT_PER_PAGE" 'BEGIN { printf
     echo "      \"ft_checkpoint_64_pages\": $(pmedian ft/checkpoint_64_pages),"
     echo "      \"ft_checkpoint_64_pages_full\": $(pmedian ft/checkpoint_64_pages_full)"
     echo '    }'
+    echo '  },'
+    # The access hit path A/B (single checked read/write), measured once on
+    # the same host with the same bench source on both sides.
+    echo '  "access_hit_path": {'
+    echo '    "comment": "single checked read/write per access vs the parent'"'"'s three big-lock sections; same host (2 vCPU), same bench source on both sides, median of 3 interleaved runs each. page_fetch_4k now misses on every iteration (one PageReq per iteration, asserted); access_hit_* time one typed read plus one typed write per iteration on an already-valid page",'
+    echo '    "parent_ns_per_iter": {"page_fetch_4k": 47474.6, "access_hit_home": 417.9, "access_hit_remote": 224.3},'
+    echo '    "change_ns_per_iter": {"page_fetch_4k": 43942.6, "access_hit_home": 139.2, "access_hit_remote": 82.7}'
     echo '  }'
     echo '}'
 } >"$PROTO_OUT"
