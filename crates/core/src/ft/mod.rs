@@ -197,15 +197,16 @@ impl FtState {
 ///
 /// `app_state` is the encoded private state at step `step`. Returns the
 /// (logging/trimming time, modeled disk time) pair for the breakdown.
+///
+/// The caller has flushed the current interval (so the checkpoint has no
+/// twins and the saved diff logs include everything up to `T_ckp`) and
+/// waited until every diff batch reached its home.
 pub(crate) fn take_checkpoint(
     st: &mut NodeState,
     step: u64,
     app_state: Vec<u8>,
 ) -> (Duration, Duration) {
-    // Flush the current interval so the checkpoint has no twins and the
-    // saved diff logs include everything up to T_ckp.
-    crate::runtime::node::end_interval(st);
-
+    debug_assert!(!st.pt.has_writes(), "checkpoint over unflushed twins");
     let me = st.me;
     let n = st.n;
     let tckp = st.vt.clone();

@@ -1930,6 +1930,65 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_waits_until_every_diff_batch_is_acked() {
+        let (mut st, eps) = test_state(0, 2, true);
+        st.retry_after = Some(Duration::from_millis(10));
+        st.pt.add_page(1);
+        let twin = dsm_page::Page::zeroed(256);
+        let mut cur = twin.clone();
+        cur.write(0, &[7]);
+        let iv = dsm_page::Interval { proc: 0, seq: 1 };
+        let diff = Diff::create(PageId(0), iv, &twin, &cur).unwrap();
+        send_diff_batch(&mut st, 1, vec![Arc::new(diff)]);
+        let shared = Arc::new(NodeShared {
+            state: Mutex::new(st),
+            cv: Condvar::new(),
+            me: 0,
+            n: 2,
+        });
+        let svc = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || service_loop(shared))
+        };
+        let next_batch_seq = || match eps[0].recv_timeout(Duration::from_secs(5)) {
+            Some(Event::Msg { msg, .. }) => match msg.payload {
+                Payload::DiffBatch { seq, .. } => seq,
+                other => panic!("expected DiffBatch, got {}", other.kind()),
+            },
+            other => panic!("expected a diff batch, got {other:?}"),
+        };
+        assert_eq!(next_batch_seq(), 1, "the original batch");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let app = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let mut p = crate::runtime::process::Process::new(shared, false);
+                p.request_checkpoint();
+                p.run_steps(&mut (), 1, |_, _, _| {});
+                tx.send(()).unwrap();
+            })
+        };
+        // Only a blocked application-thread wait retransmits (no membership
+        // ticker here): a resend proves the safe point is waiting for the ack.
+        assert_eq!(next_batch_seq(), 1, "retransmitted while waiting");
+        let ckpts =
+            |shared: &NodeShared| shared.state.lock().ft.as_ref().unwrap().report.ckpts_taken;
+        assert_eq!(ckpts(&shared), 0, "checkpoint taken over an unacked diff");
+        assert!(rx.try_recv().is_err());
+        eps[0].send(0, Msg::bare(Payload::DiffAck { seq: 1 }));
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("the ack releases the checkpoint");
+        app.join().unwrap();
+        assert_eq!(ckpts(&shared), 1);
+        {
+            let mut st = shared.state.lock();
+            st.shutdown = true;
+            st.ep.wake();
+        }
+        svc.join().unwrap();
+    }
+
+    #[test]
     fn prefetch_reply_installs_only_matching_and_still_needed_pages() {
         let (mut st, _eps) = test_state(1, 2, false);
         for _ in 0..2 {

@@ -1086,7 +1086,8 @@ impl Process {
     }
 
     fn safe_point<S: AppState>(&mut self, step: u64, state: &S) {
-        let mut st = self.shared.state.lock();
+        let shared = Arc::clone(&self.shared);
+        let mut st = shared.state.lock();
         if st.replay.is_some() {
             return; // no checkpoints while replaying
         }
@@ -1097,6 +1098,19 @@ impl Process {
         if !due {
             return;
         }
+        // Flush the interval, then wait for every diff batch's ack: a
+        // checkpoint must not cover an interval whose diffs have not reached
+        // their homes. With the retry layer on, unacknowledged batches sit
+        // in the volatile outbox, a crash loses them, and a restart from
+        // this checkpoint never regenerates them.
+        let (p, l) = end_interval(&mut st);
+        self.breakdown.protocol += p;
+        self.breakdown.logging += l;
+        let t0 = Instant::now();
+        wait_until(&shared, &mut st, |st| {
+            st.diff_outbox.iter().all(|q| q.is_empty()).then_some(())
+        });
+        self.breakdown.protocol += t0.elapsed();
         let mut w = ByteWriter::new();
         state.encode(&mut w);
         let (logging, disk) = crate::ft::take_checkpoint(&mut st, step, w.into_bytes());
