@@ -1816,10 +1816,8 @@ mod tests {
         assert!(matches!(next_payload(&eps[0]), Payload::DiffAck { seq: 4 }));
     }
 
-    #[test]
-    fn service_loop_answers_a_piggybacked_page_req_while_the_big_lock_is_held() {
-        let (mut st, eps) = test_state(0, 2, true);
-        st.pt.add_page(0);
+    /// Run node 0's service loop over `st` on its own thread.
+    fn spawn_service(st: NodeState) -> (Arc<NodeShared>, std::thread::JoinHandle<()>) {
         let shared = Arc::new(NodeShared {
             state: Mutex::new(st),
             cv: Condvar::new(),
@@ -1830,6 +1828,23 @@ mod tests {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || service_loop(shared))
         };
+        (shared, svc)
+    }
+
+    fn stop_service(shared: &NodeShared, svc: std::thread::JoinHandle<()>) {
+        {
+            let mut st = shared.state.lock();
+            st.shutdown = true;
+            st.ep.wake();
+        }
+        svc.join().unwrap();
+    }
+
+    #[test]
+    fn service_loop_answers_a_piggybacked_page_req_while_the_big_lock_is_held() {
+        let (mut st, eps) = test_state(0, 2, true);
+        st.pt.add_page(0);
+        let (shared, svc) = spawn_service(st);
         let piggy = Piggy {
             tckp: VectorClock::zero(2),
             ckpt_seq: 3,
@@ -1863,12 +1878,7 @@ mod tests {
             assert!(Instant::now() < deadline, "piggyback never absorbed");
             std::thread::sleep(Duration::from_millis(1));
         }
-        {
-            let mut st = shared.state.lock();
-            st.shutdown = true;
-            st.ep.wake();
-        }
-        svc.join().unwrap();
+        stop_service(&shared, svc);
     }
 
     #[test]
@@ -1878,16 +1888,7 @@ mod tests {
         // An acquire brought node 1's write notice for interval 1; its diff
         // is still on the way.
         st.pt.invalidate(PageId(0), 1, 1);
-        let shared = Arc::new(NodeShared {
-            state: Mutex::new(st),
-            cv: Condvar::new(),
-            me: 0,
-            n: 2,
-        });
-        let svc = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || service_loop(shared))
-        };
+        let (shared, svc) = spawn_service(st);
         let (tx, rx) = std::sync::mpsc::channel();
         let app = {
             let shared = Arc::clone(&shared);
@@ -1921,12 +1922,7 @@ mod tests {
         assert_eq!(got, Ok(42), "the read returns the diff's bytes");
         app.join().unwrap();
         assert!(matches!(next_payload(&eps[0]), Payload::DiffAck { seq: 1 }));
-        {
-            let mut st = shared.state.lock();
-            st.shutdown = true;
-            st.ep.wake();
-        }
-        svc.join().unwrap();
+        stop_service(&shared, svc);
     }
 
     #[test]
@@ -1940,16 +1936,7 @@ mod tests {
         let iv = dsm_page::Interval { proc: 0, seq: 1 };
         let diff = Diff::create(PageId(0), iv, &twin, &cur).unwrap();
         send_diff_batch(&mut st, 1, vec![Arc::new(diff)]);
-        let shared = Arc::new(NodeShared {
-            state: Mutex::new(st),
-            cv: Condvar::new(),
-            me: 0,
-            n: 2,
-        });
-        let svc = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || service_loop(shared))
-        };
+        let (shared, svc) = spawn_service(st);
         let next_batch_seq = || match eps[0].recv_timeout(Duration::from_secs(5)) {
             Some(Event::Msg { msg, .. }) => match msg.payload {
                 Payload::DiffBatch { seq, .. } => seq,
@@ -1980,12 +1967,7 @@ mod tests {
             .expect("the ack releases the checkpoint");
         app.join().unwrap();
         assert_eq!(ckpts(&shared), 1);
-        {
-            let mut st = shared.state.lock();
-            st.shutdown = true;
-            st.ep.wake();
-        }
-        svc.join().unwrap();
+        stop_service(&shared, svc);
     }
 
     #[test]
